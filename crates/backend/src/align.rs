@@ -281,9 +281,11 @@ pub fn gotoh_direct_batch(
 mod tests {
     use super::*;
     use sdp_core::align::{
-        gotoh_mesh, gotoh_mesh_batch, sw_banded_mesh, sw_banded_mesh_batch, sw_mesh, sw_mesh_batch,
+        gotoh_mesh_batch, sw_banded_mesh_batch, sw_mesh_batch, try_gotoh_mesh, try_sw_banded_mesh,
         try_sw_mesh,
     };
+    use sdp_fault::NoFaults;
+    use sdp_trace::NullSink;
 
     fn word(seed: u64, len: usize) -> Vec<u8> {
         let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -305,7 +307,7 @@ mod tests {
     fn sw_matches_sim_exactly() {
         for (la, lb) in [(0, 0), (0, 3), (4, 0), (1, 1), (6, 9), (17, 5)] {
             let (a, b) = (word(la as u64, la), word(100 + lb as u64, lb));
-            let sim = sw_mesh(&a, &b, &scheme());
+            let sim = try_sw_mesh(&a, &b, &scheme(), &mut NoFaults, &mut NullSink).unwrap();
             let direct = sw_direct(&a, &b, &scheme()).unwrap();
             assert_eq!(direct, sim, "{la}x{lb}");
         }
@@ -315,7 +317,8 @@ mod tests {
     fn banded_matches_sim_exactly_including_stalls() {
         for (la, lb, band) in [(6, 9, 0), (6, 9, 2), (17, 5, 1), (8, 8, 3), (9, 3, 20)] {
             let (a, b) = (word(la as u64, la), word(7 + lb as u64, lb));
-            let sim = sw_banded_mesh(&a, &b, band, &scheme());
+            let sim =
+                try_sw_banded_mesh(&a, &b, band, &scheme(), &mut NoFaults, &mut NullSink).unwrap();
             let direct = sw_banded_direct(&a, &b, band, &scheme()).unwrap();
             assert_eq!(direct, sim, "{la}x{lb} band {band}");
             assert_eq!(direct.stats.stall_cycles(), sim.stats.stall_cycles());
@@ -327,7 +330,7 @@ mod tests {
         let sc = Scoring::affine(2, -3, 5, 1);
         for (la, lb) in [(1, 1), (6, 9), (11, 8), (17, 5)] {
             let (a, b) = (word(la as u64, la), word(300 + lb as u64, lb));
-            let sim = gotoh_mesh(&a, &b, &sc);
+            let sim = try_gotoh_mesh(&a, &b, &sc, &mut NoFaults, &mut NullSink).unwrap();
             let direct = gotoh_direct(&a, &b, &sc).unwrap();
             assert_eq!(direct, sim, "{la}x{lb}");
         }
@@ -372,7 +375,7 @@ mod tests {
         let msc = Scoring::matrix(2, vec![3, -1, -1, 3], 1, 1, 1);
         assert_eq!(
             sw_direct(&[0, 2, 0], &[0, 1], &msc).err(),
-            try_sw_mesh(&[0, 2, 0], &[0, 1], &msc).err()
+            try_sw_mesh(&[0, 2, 0], &[0, 1], &msc, &mut NoFaults, &mut NullSink).err()
         );
     }
 }

@@ -125,7 +125,11 @@ pub fn edit_direct_batch(pairs: &[(&[u8], &[u8])]) -> Result<BatchEditRun, SdpEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdp_core::edit_array::{edit_distance_mesh, edit_distance_mesh_batch, edit_distance_seq};
+    use sdp_core::edit_array::{
+        edit_distance_mesh_batch, edit_distance_seq, try_edit_distance_mesh,
+    };
+    use sdp_fault::NoFaults;
+    use sdp_trace::NullSink;
 
     fn word(seed: u64, len: usize) -> Vec<u8> {
         let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -143,7 +147,7 @@ mod tests {
     fn single_matches_sim_exactly() {
         for (la, lb) in [(0, 0), (0, 3), (4, 0), (1, 1), (6, 9), (17, 5)] {
             let (a, b) = (word(la as u64, la), word(100 + lb as u64, lb));
-            let sim = edit_distance_mesh(&a, &b);
+            let sim = try_edit_distance_mesh(&a, &b, &mut NoFaults, &mut NullSink).unwrap();
             let direct = edit_direct(&a, &b);
             assert_eq!(direct.distance, sim.distance, "{la}x{lb}");
             assert_eq!(direct.cycles, sim.cycles);

@@ -78,7 +78,9 @@ pub fn matmul_direct_batch<S: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdp_fault::NoFaults;
     use sdp_semiring::MinPlus;
+    use sdp_trace::NullSink;
 
     fn mat(seed: u64, rows: usize, cols: usize) -> Matrix<MinPlus> {
         let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -94,7 +96,7 @@ mod tests {
     fn single_matches_sim_exactly() {
         for (p, q, r) in [(1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 2, 3)] {
             let (a, b) = (mat(p as u64, p, q), mat(100 + r as u64, q, r));
-            let sim = MatmulArray::multiply(&a, &b);
+            let sim = MatmulArray::try_multiply(&a, &b, &mut NoFaults, &mut NullSink).unwrap();
             let direct = matmul_direct(&a, &b).unwrap();
             assert_eq!(direct.product, sim.product, "{p}x{q}x{r}");
             assert_eq!(direct.cycles, sim.cycles);
@@ -122,7 +124,7 @@ mod tests {
         let (a, b) = (mat(1, 2, 3), mat(2, 2, 2));
         assert_eq!(
             matmul_direct(&a, &b).err(),
-            MatmulArray::try_multiply(&a, &b).err()
+            MatmulArray::try_multiply(&a, &b, &mut NoFaults, &mut NullSink).err()
         );
         assert_eq!(
             matmul_direct_batch::<MinPlus>(&[]).err(),

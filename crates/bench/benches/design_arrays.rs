@@ -3,7 +3,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdp_core::{Design1Array, Design2Array, Design3Array};
+use sdp_fault::NoFaults;
 use sdp_multistage::{generate, solve};
+use sdp_trace::NullSink;
 
 fn bench_designs(c: &mut Criterion) {
     let mut group = c.benchmark_group("design_arrays");
@@ -15,7 +17,13 @@ fn bench_designs(c: &mut Criterion) {
             &g,
             |b, g| {
                 let arr = Design1Array::new(m);
-                b.iter(|| black_box(arr.run(g.matrix_string()).optimum()));
+                b.iter(|| {
+                    black_box(
+                        arr.try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                            .unwrap()
+                            .optimum(),
+                    )
+                });
             },
         );
         group.bench_with_input(
@@ -23,7 +31,13 @@ fn bench_designs(c: &mut Criterion) {
             &g,
             |b, g| {
                 let arr = Design2Array::new(m);
-                b.iter(|| black_box(arr.run(g.matrix_string()).optimum()));
+                b.iter(|| {
+                    black_box(
+                        arr.try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                            .unwrap()
+                            .optimum(),
+                    )
+                });
             },
         );
         group.bench_with_input(
@@ -46,7 +60,7 @@ fn bench_designs(c: &mut Criterion) {
             &g,
             |b, g| {
                 let arr = Design3Array::new(m);
-                b.iter(|| black_box(arr.run(g).cost));
+                b.iter(|| black_box(arr.try_run(g, &mut NoFaults, &mut NullSink).unwrap().cost));
             },
         );
     }

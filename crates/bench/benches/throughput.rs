@@ -66,7 +66,7 @@ fn bench_batch(c: &mut Criterion) {
     group.bench_function("design1_sequential_x8", |bch| {
         bch.iter(|| {
             for s in &strings {
-                black_box(d1.run(s));
+                black_box(d1.try_run(s, &mut NoFaults, &mut NullSink).unwrap());
             }
         });
     });
@@ -82,7 +82,7 @@ fn bench_batch(c: &mut Criterion) {
     group.bench_function("matmul_mesh_sequential_x8", |bch| {
         bch.iter(|| {
             for (a, bb) in &pairs {
-                black_box(MatmulArray::multiply(a, bb));
+                black_box(MatmulArray::try_multiply(a, bb, &mut NoFaults, &mut NullSink).unwrap());
             }
         });
     });
@@ -99,15 +99,10 @@ fn bench_fastpath(c: &mut Criterion) {
     let mats = g.matrix_string().to_vec();
     let d1 = Design1Array::new(6);
     group.bench_function("plain_run", |bch| {
-        bch.iter(|| black_box(d1.run(&mats)));
+        bch.iter(|| black_box(d1.try_run(&mats, &mut NoFaults, &mut NullSink).unwrap()));
     });
     group.bench_function("generic_nofaults_nullsink", |bch| {
-        bch.iter(|| {
-            black_box(
-                d1.run_fault_traced(&mats, &mut NoFaults, &mut NullSink)
-                    .unwrap(),
-            )
-        });
+        bch.iter(|| black_box(d1.try_run(&mats, &mut NoFaults, &mut NullSink).unwrap()));
     });
     group.finish();
 }

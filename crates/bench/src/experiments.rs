@@ -16,9 +16,11 @@ use sdp_core::design1::Design1Array;
 use sdp_core::design2::Design2Array;
 use sdp_core::design3::Design3Array;
 use sdp_core::dnc;
+use sdp_fault::NoFaults;
 use sdp_multistage::{generate, solve};
 use sdp_semiring::Cost;
 use sdp_trace::json::Json;
+use sdp_trace::NullSink;
 
 fn rows_json(rows: Vec<Json>) -> Json {
     Json::object().with("rows", Json::Array(rows))
@@ -36,7 +38,9 @@ pub fn report_e1() -> Report {
     let mut metrics = Vec::new();
     for &(stages, m) in &[(4usize, 3usize), (6, 3), (10, 4), (20, 4), (40, 8), (80, 8)] {
         let g = generate::random_single_source_sink(9, stages, m, 0, 50);
-        let res = Design1Array::new(m).run(g.matrix_string());
+        let res = Design1Array::new(m)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let dp = solve::forward_dp(&g);
         let n_mats = (stages - 1) as u64;
         let serial = solve::SerialCounts::matrix_string(n_mats, m as u64);
@@ -85,8 +89,12 @@ pub fn report_e2() -> Report {
     let mut metrics = Vec::new();
     for &(stages, m) in &[(4usize, 3usize), (8, 5), (16, 4), (40, 8)] {
         let g = generate::random_single_source_sink(11, stages, m, 0, 50);
-        let d1 = Design1Array::new(m).run(g.matrix_string());
-        let d2 = Design2Array::new(m).run(g.matrix_string());
+        let d1 = Design1Array::new(m)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
+        let d2 = Design2Array::new(m)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let dp = solve::forward_dp(&g);
         report.rows.push(vec![
             format!("{stages}"),
@@ -139,7 +147,9 @@ pub fn report_e3() -> Report {
             -30,
             30,
         );
-        let res = Design3Array::new(m).run(&g);
+        let res = Design3Array::new(m)
+            .try_run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap();
         let ms = g.to_multistage();
         let dp = solve::backward_dp(&ms);
         let serial = solve::SerialCounts::node_value(n as u64, m as u64);
@@ -186,7 +196,7 @@ pub fn report_fig6() -> Report {
         format!("E4 / Figure 6: divide-and-conquer granularity, N = {n}"),
     );
     report.headers = vec!["K", "T", "K*T^2", "PU(sim)"];
-    let sweep = dnc::granularity_sweep(n, 1024);
+    let sweep = dnc::try_granularity_sweep(n, 1024).unwrap();
     // Sample the curve plus the paper's highlighted points.
     let samples: Vec<u64> = vec![
         1, 2, 4, 8, 16, 32, 64, 128, 200, 256, 300, 341, 372, 399, 409, 431, 455, 465, 512, 600,
@@ -241,7 +251,7 @@ pub fn report_prop1() -> Report {
         let mut cells = vec![format!("{c}")];
         let mut entry = Json::object().with("c", c).with("limit", limit);
         for &exp in &[10u32, 14, 18, 22] {
-            let pu = dnc::pu_asymptotic(1 << exp, c);
+            let pu = dnc::try_pu_asymptotic(1 << exp, c).unwrap();
             cells.push(format!("{pu:.4}"));
             entry = entry.with(&format!("pu_n2e{exp}"), pu);
         }
@@ -488,13 +498,17 @@ pub fn report_table1() -> Report {
         .push("\nEnd-to-end demonstrations:".to_string());
     // monadic-serial: Design 3 on a traffic problem
     let g = generate::traffic_light(1, 6, 4);
-    let d3 = Design3Array::new(4).run(&g);
+    let d3 = Design3Array::new(4)
+        .try_run(&g, &mut NoFaults, &mut NullSink)
+        .unwrap();
     report.notes.push(format!(
         "  monadic-serial      traffic-light timing, Design 3: cost {} in {} cycles",
         d3.cost, d3.cycles
     ));
     // polyadic-serial: D&C with the optimal granularity
-    let sched = dnc::schedule(4096, 399);
+    let sched = sdp_systolic::TreeScheduler
+        .try_simulate(4096, 399, &mut NullSink)
+        .expect("valid N and K");
     report.notes.push(format!(
         "  polyadic-serial     N=4096 matrix string on K=399 arrays: {} rounds, PU {:.3}",
         sched.rounds,
@@ -565,7 +579,7 @@ pub fn report_e12() -> Report {
         let ex = dnc::ParallelExecutor::new(k);
         let threads = ex.workers();
         let t0 = Instant::now();
-        let (par, rounds) = ex.multiply_string(mats);
+        let (par, rounds) = ex.try_multiply_string(mats, None).unwrap();
         let el = t0.elapsed();
         assert_eq!(par, seq);
         let speedup = seq_time.as_secs_f64() / el.as_secs_f64();
@@ -805,12 +819,13 @@ pub fn report_e17() -> Report {
         let g = generate::random_uniform(3, n as usize + 1, m, 0, 50);
         let t1 = MatmulArray::t1(m, m, m);
         for &k in &[1u64, 4, 16] {
-            let (prod, cycles) = MatmulArray::multiply_string_dnc(g.matrix_string(), k);
+            let (prod, cycles) =
+                MatmulArray::try_multiply_string_dnc(g.matrix_string(), k, &mut NullSink).unwrap();
             assert_eq!(
                 prod,
                 sdp_semiring::Matrix::string_product(g.matrix_string())
             );
-            let eq29_cycles = sdp_systolic::scheduler::eq29_time(n, k) * t1;
+            let eq29_cycles = sdp_systolic::scheduler::try_eq29_time(n, k).unwrap() * t1;
             report.rows.push(vec![
                 format!("{m}"),
                 format!("{k}"),
@@ -914,7 +929,9 @@ pub fn report_e19() -> Report {
             let det = img.detect(cfg);
             acc_sum += img.accuracy(&det.rows, 1);
             let g = img.to_multistage(cfg);
-            let d1 = Design1Array::new(12).run(g.matrix_string());
+            let d1 = Design1Array::new(12)
+                .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             systolic_ok &= d1.values.iter().copied().fold(Cost::INF, Cost::min) == det.cost;
         }
         let mean_accuracy = acc_sum / trials as f64;
@@ -937,7 +954,7 @@ pub fn report_e19() -> Report {
 /// E20 (extension / ref. \[23\]) — wavefront sequence comparison on the
 /// 2-D mesh: p+q−1 cycles, one anti-diagonal active per cycle.
 pub fn report_e20() -> Report {
-    use sdp_core::edit_array::{edit_distance_mesh, edit_distance_seq};
+    use sdp_core::edit_array::{edit_distance_seq, try_edit_distance_mesh};
     let mut report = Report::new(
         "e20",
         "E20 (extension / ref [23], Ney): wavefront edit distance on the mesh",
@@ -951,7 +968,7 @@ pub fn report_e20() -> Report {
     ];
     let mut metrics = Vec::new();
     for (a, b) in cases {
-        let run = edit_distance_mesh(a, b);
+        let run = try_edit_distance_mesh(a, b, &mut NoFaults, &mut NullSink).unwrap();
         let seq = edit_distance_seq(a, b);
         assert_eq!(run.distance, seq);
         let utilization = run.stats.utilization().overall;
@@ -1020,7 +1037,9 @@ pub fn report_degradation() -> Report {
     let m = 4usize;
     let g = generate::random_single_source_sink(SEED, 6, m, 0, 100);
     let array = Design1Array::new(m);
-    let clean = array.run(g.matrix_string());
+    let clean = array
+        .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+        .unwrap();
 
     let n = 12usize; // matrices in the executor string
     let k = 3usize; // worker arrays
@@ -1050,7 +1069,7 @@ pub fn report_degradation() -> Report {
         // answer (they may be absorbed by the minimization)?
         let mut sink = CountingSink::default();
         let faulty = array
-            .run_fault_traced(
+            .try_run(
                 g.matrix_string(),
                 &mut PlanInjector::new(plan.clone()),
                 &mut sink,
@@ -1143,7 +1162,7 @@ pub fn report_throughput_quick() -> Report {
 }
 
 fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Report {
-    use sdp_core::edit_array::{edit_distance_mesh, edit_distance_mesh_batch};
+    use sdp_core::edit_array::{edit_distance_mesh_batch, try_edit_distance_mesh};
     use sdp_core::matmul_array::MatmulArray;
     use sdp_semiring::{Matrix, MinPlus};
     use sdp_trace::CountingSink;
@@ -1260,7 +1279,9 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
     let refs: Vec<&[sdp_semiring::Matrix<MinPlus>]> =
         strings.iter().map(|s| s.as_slice()).collect();
     let d1 = Design1Array::new(m);
-    let single = d1.run(&strings[0]);
+    let single = d1
+        .try_run(&strings[0], &mut NoFaults, &mut NullSink)
+        .unwrap();
     let (batch, batch_ms) = timed(|| d1.run_batch(&refs).unwrap());
     push_batch(
         &mut report,
@@ -1276,7 +1297,9 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
     // Design 2: broadcast array — no fill/drain to overlap, so the
     // batch is an exact concatenation (reported for completeness).
     let d2 = Design2Array::new(m);
-    let single = d2.run(&strings[0]);
+    let single = d2
+        .try_run(&strings[0], &mut NoFaults, &mut NullSink)
+        .unwrap();
     let (batch, batch_ms) = timed(|| d2.run_batch(&refs).unwrap());
     push_batch(
         &mut report,
@@ -1306,7 +1329,9 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
         .collect();
     let grefs: Vec<&sdp_multistage::NodeValueGraph> = graphs.iter().collect();
     let d3 = Design3Array::new(m3);
-    let single = d3.run(&graphs[0]);
+    let single = d3
+        .try_run(&graphs[0], &mut NoFaults, &mut NullSink)
+        .unwrap();
     let (batch, batch_ms) = timed(|| d3.run_batch(&grefs).unwrap());
     push_batch(
         &mut report,
@@ -1327,7 +1352,8 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
             (g.matrix_string()[0].clone(), g.matrix_string()[1].clone())
         })
         .collect();
-    let single = MatmulArray::multiply(&pairs[0].0, &pairs[0].1);
+    let single =
+        MatmulArray::try_multiply(&pairs[0].0, &pairs[0].1, &mut NoFaults, &mut NullSink).unwrap();
     let single_pu = single.stats.processor_utilization((mm * mm * mm) as u64);
     let (batch, batch_ms) = timed(|| MatmulArray::multiply_batch(&pairs).unwrap());
     push_batch(
@@ -1353,7 +1379,8 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
         .iter()
         .map(|(x, y)| (x.as_slice(), y.as_slice()))
         .collect();
-    let single = edit_distance_mesh(&words[0].0, &words[0].1);
+    let single =
+        try_edit_distance_mesh(&words[0].0, &words[0].1, &mut NoFaults, &mut NullSink).unwrap();
     let single_pu = single.stats.processor_utilization((8 * 8) as u64);
     let (batch, batch_ms) = timed(|| edit_distance_mesh_batch(&epairs).unwrap());
     push_batch(
@@ -1367,29 +1394,27 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
         "",
     );
 
-    // ---- 3. Zero-overhead fast path: the monomorphized NullSink +
-    // NoFaults loop costs the same through the generic fault/trace API
-    // as through the plain entry point, and tracing pays only when on.
+    // ---- 3. Zero-overhead fast path: the engine has one fault/trace
+    // entry, so a plain run is that entry with NoFaults + NullSink.  It
+    // is timed twice — the ratio is the run-to-run noise floor — and
+    // tracing pays only when a real sink is on.
     let og = generate::random_single_source_sink(31, 24, 6, 0, 100);
     let omats = og.matrix_string();
     let oarr = Design1Array::new(6);
     let (_, plain_ms) = timed(|| {
         for _ in 0..reps {
-            std::hint::black_box(oarr.run(omats));
+            std::hint::black_box(oarr.try_run(omats, &mut NoFaults, &mut NullSink).unwrap());
         }
     });
     let (_, generic_ms) = timed(|| {
         for _ in 0..reps {
-            std::hint::black_box(
-                oarr.run_fault_traced(omats, &mut sdp_fault::NoFaults, &mut sdp_trace::NullSink)
-                    .unwrap(),
-            );
+            std::hint::black_box(oarr.try_run(omats, &mut NoFaults, &mut NullSink).unwrap());
         }
     });
     let (_, counting_ms) = timed(|| {
         for _ in 0..reps {
             let mut sink = CountingSink::default();
-            std::hint::black_box(oarr.run_traced(omats, &mut sink));
+            std::hint::black_box(oarr.try_run(omats, &mut NoFaults, &mut sink).unwrap());
         }
     });
     report.rows.push(vec![
@@ -1414,8 +1439,8 @@ fn report_throughput_sized(kernel_n: usize, batch_b: usize, reps: usize) -> Repo
     report.notes = vec![
         "kernel: all variants asserted bit-identical to the naive oracle before timing.".into(),
         "batch: cycles and PU are deterministic; ms columns are host wall-clock.".into(),
-        "fastpath: generic_overhead_x ~ 1.0 shows the NoFaults+NullSink monomorphization\n\
-         adds nothing over the plain entry point."
+        "fastpath: plain and generic time the same NoFaults+NullSink entry twice, so\n\
+         generic_overhead_x ~ 1.0 is the noise floor for tracing_overhead_x."
             .into(),
     ];
     report.metrics = Json::object()
@@ -2740,7 +2765,9 @@ mod tests {
         // systolic and dp columns must agree: spot-check via absence of
         // mismatch markers is weak, so re-verify directly:
         let g = generate::random_single_source_sink(9, 10, 4, 0, 50);
-        let res = Design1Array::new(4).run(g.matrix_string());
+        let res = Design1Array::new(4)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.optimum(), solve::forward_dp(&g).cost);
     }
 

@@ -572,7 +572,7 @@ fn sw_core<F: FaultInjector, S: TraceSink>(
     let total = (p + q - 1) as u64;
     let mut best = NO_BEST;
     for t in 0..total {
-        let (east, south) = mesh.cycle_fault_traced(
+        let (east, south) = mesh.cycle(
             |r| (r as u64 == t).then_some((0, NO_BEST)),
             |c| (c as u64 == t).then_some((0, (0, NO_BEST))),
             |_, _| (),
@@ -591,13 +591,10 @@ fn sw_core<F: FaultInjector, S: TraceSink>(
     Ok(finish(best, mesh.stats().cycles(), mesh.stats().clone()))
 }
 
-/// The one true batched Smith–Waterman driver.
-fn sw_batch_core<S: TraceSink>(
-    pairs: &[(&[u8], &[u8])],
-    band: Option<usize>,
-    scoring: &Scoring,
-    sink: &mut S,
-) -> Result<BatchAlignRun, SdpError> {
+/// Validates a batch for the SW and Gotoh batch drivers: non-empty,
+/// every pair shaped like instance 0 and inside the scoring alphabet.
+/// Returns instance 0's `(|a|, |b|)`.
+fn batch_shape(pairs: &[(&[u8], &[u8])], scoring: &Scoring) -> Result<(usize, usize), SdpError> {
     if pairs.is_empty() {
         return Err(SdpError::EmptyBatch);
     }
@@ -609,14 +606,33 @@ fn sw_batch_core<S: TraceSink>(
         scoring.subst.validate(a)?;
         scoring.subst.validate(b)?;
     }
+    Ok((p, q))
+}
+
+/// Packs the apex's per-instance argmax words into a batch result.
+fn batch_run(bests: &[BestCell], stats: Stats) -> BatchAlignRun {
+    BatchAlignRun {
+        scores: bests.iter().map(|b| b.0).collect(),
+        ends: bests
+            .iter()
+            .map(|&b| (b != NO_BEST).then_some((b.1 as usize, b.2 as usize)))
+            .collect(),
+        cycles: stats.cycles(),
+        stats,
+    }
+}
+
+/// The one true batched Smith–Waterman driver.
+fn sw_batch_core<S: TraceSink>(
+    pairs: &[(&[u8], &[u8])],
+    band: Option<usize>,
+    scoring: &Scoring,
+    sink: &mut S,
+) -> Result<BatchAlignRun, SdpError> {
+    let (p, q) = batch_shape(pairs, scoring)?;
     let bn = pairs.len();
     if p == 0 || q == 0 {
-        return Ok(BatchAlignRun {
-            scores: vec![0; bn],
-            ends: vec![None; bn],
-            cycles: 0,
-            stats: Stats::new(0),
-        });
+        return Ok(batch_run(&vec![NO_BEST; bn], Stats::new(0)));
     }
     let mut mesh = Mesh2D::try_new(
         p,
@@ -641,7 +657,7 @@ fn sw_batch_core<S: TraceSink>(
     let total = (p + q - 2 + bn) as u64;
     let mut bests = Vec::with_capacity(bn);
     for t in 0..total {
-        let (east, _south) = mesh.cycle_traced(
+        let (east, _south) = mesh.cycle(
             |r| {
                 let inst = t as i64 - r as i64;
                 (0..bn as i64).contains(&inst).then_some((0, NO_BEST))
@@ -651,6 +667,7 @@ fn sw_batch_core<S: TraceSink>(
                 (0..bn as i64).contains(&inst).then_some((0, (0, NO_BEST)))
             },
             |_, _| (),
+            &mut NoFaults,
             sink,
         );
         // The apex fires once per instance, in batch order.
@@ -659,56 +676,18 @@ fn sw_batch_core<S: TraceSink>(
         }
     }
     debug_assert_eq!(bests.len(), bn);
-    Ok(BatchAlignRun {
-        scores: bests.iter().map(|b| b.0).collect(),
-        ends: bests
-            .iter()
-            .map(|&b| (b != NO_BEST).then_some((b.1 as usize, b.2 as usize)))
-            .collect(),
-        cycles: mesh.stats().cycles(),
-        stats: mesh.stats().clone(),
-    })
+    Ok(batch_run(&bests, mesh.stats().clone()))
 }
 
-/// Smith–Waterman local alignment on the wavefront mesh.
+/// Smith–Waterman local alignment on the wavefront mesh.  PE indices
+/// in `sink`'s events are row-major over the `|a| × |b|` mesh.
 ///
 /// Empty operands short-circuit to the empty alignment (score 0, no
-/// endpoint, zero PEs).
-pub fn sw_mesh(a: &[u8], b: &[u8], scoring: &Scoring) -> AlignRun {
-    sw_mesh_traced(a, b, scoring, &mut NullSink)
-}
-
-/// [`sw_mesh`] with an event sink; PE indices are row-major over the
-/// `|a| × |b|` mesh.
-pub fn sw_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    scoring: &Scoring,
-    sink: &mut S,
-) -> AlignRun {
-    try_sw_mesh_traced(a, b, scoring, sink).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`sw_mesh`].
-pub fn try_sw_mesh(a: &[u8], b: &[u8], scoring: &Scoring) -> Result<AlignRun, SdpError> {
-    try_sw_mesh_traced(a, b, scoring, &mut NullSink)
-}
-
-/// Non-panicking [`sw_mesh_traced`].
-pub fn try_sw_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    scoring: &Scoring,
-    sink: &mut S,
-) -> Result<AlignRun, SdpError> {
-    sw_core(a, b, None, scoring, &mut NoFaults, sink)
-}
-
-/// [`sw_mesh_traced`] under fault injection.  Both word types carry
-/// `H[i][j]` in the leading position, so faults perturb the cell value
-/// while the argmax bookkeeping and the wavefront timing stay intact —
-/// silent data corruption, never a wedged pipeline.
-pub fn sw_fault_traced<F: FaultInjector, S: TraceSink>(
+/// endpoint, zero PEs).  Both word types carry `H[i][j]` in the leading
+/// position, so `injector`'s faults perturb the cell value while the
+/// argmax bookkeeping and the wavefront timing stay intact — silent
+/// data corruption, never a wedged pipeline.
+pub fn try_sw_mesh<F: FaultInjector, S: TraceSink>(
     a: &[u8],
     b: &[u8],
     scoring: &Scoring,
@@ -738,45 +717,8 @@ pub fn sw_mesh_batch_traced<S: TraceSink>(
 
 /// Banded Smith–Waterman: only cells with `|i − j| ≤ band` compute;
 /// the rest of the mesh relays the wavefront.  `band ≥ max(|a|, |b|)`
-/// is bit-identical to [`sw_mesh`].
-pub fn sw_banded_mesh(a: &[u8], b: &[u8], band: usize, scoring: &Scoring) -> AlignRun {
-    sw_banded_mesh_traced(a, b, band, scoring, &mut NullSink)
-}
-
-/// [`sw_banded_mesh`] with an event sink.
-pub fn sw_banded_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    band: usize,
-    scoring: &Scoring,
-    sink: &mut S,
-) -> AlignRun {
-    try_sw_banded_mesh_traced(a, b, band, scoring, sink).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`sw_banded_mesh`].
-pub fn try_sw_banded_mesh(
-    a: &[u8],
-    b: &[u8],
-    band: usize,
-    scoring: &Scoring,
-) -> Result<AlignRun, SdpError> {
-    try_sw_banded_mesh_traced(a, b, band, scoring, &mut NullSink)
-}
-
-/// Non-panicking [`sw_banded_mesh_traced`].
-pub fn try_sw_banded_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    band: usize,
-    scoring: &Scoring,
-    sink: &mut S,
-) -> Result<AlignRun, SdpError> {
-    sw_core(a, b, Some(band), scoring, &mut NoFaults, sink)
-}
-
-/// [`sw_banded_mesh_traced`] under fault injection.
-pub fn sw_banded_fault_traced<F: FaultInjector, S: TraceSink>(
+/// is bit-identical to [`try_sw_mesh`].
+pub fn try_sw_banded_mesh<F: FaultInjector, S: TraceSink>(
     a: &[u8],
     b: &[u8],
     band: usize,
@@ -806,8 +748,12 @@ pub fn sw_banded_mesh_batch_traced<S: TraceSink>(
     sw_batch_core(pairs, Some(band), scoring, sink)
 }
 
-/// The one true Gotoh driver.
-fn gotoh_core<F: FaultInjector, S: TraceSink>(
+/// Gotoh affine-gap local alignment on the wavefront mesh: three DP
+/// layers (`H`, `E`, `F`) interleaved in every PE, same
+/// `|a| + |b| − 1`-cycle schedule as [`try_sw_mesh`].  `injector`'s
+/// faults perturb `H` and keep the `E`/`F` layers and argmax
+/// bookkeeping intact.
+pub fn try_gotoh_mesh<F: FaultInjector, S: TraceSink>(
     a: &[u8],
     b: &[u8],
     scoring: &Scoring,
@@ -839,7 +785,7 @@ fn gotoh_core<F: FaultInjector, S: TraceSink>(
     let total = (p + q - 1) as u64;
     let mut best = NO_BEST;
     for t in 0..total {
-        let (east, south) = mesh.cycle_fault_traced(
+        let (east, south) = mesh.cycle(
             |r| (r as u64 == t).then_some((0, (OUT_OF_BAND, NO_BEST))),
             |c| (c as u64 == t).then_some((0, (OUT_OF_BAND, 0, NO_BEST))),
             |_, _| (),
@@ -856,50 +802,6 @@ fn gotoh_core<F: FaultInjector, S: TraceSink>(
     Ok(finish(best, mesh.stats().cycles(), mesh.stats().clone()))
 }
 
-/// Gotoh affine-gap local alignment on the wavefront mesh: three DP
-/// layers (`H`, `E`, `F`) interleaved in every PE, same
-/// `|a| + |b| − 1`-cycle schedule as [`sw_mesh`].
-pub fn gotoh_mesh(a: &[u8], b: &[u8], scoring: &Scoring) -> AlignRun {
-    gotoh_mesh_traced(a, b, scoring, &mut NullSink)
-}
-
-/// [`gotoh_mesh`] with an event sink.
-pub fn gotoh_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    scoring: &Scoring,
-    sink: &mut S,
-) -> AlignRun {
-    try_gotoh_mesh_traced(a, b, scoring, sink).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`gotoh_mesh`].
-pub fn try_gotoh_mesh(a: &[u8], b: &[u8], scoring: &Scoring) -> Result<AlignRun, SdpError> {
-    try_gotoh_mesh_traced(a, b, scoring, &mut NullSink)
-}
-
-/// Non-panicking [`gotoh_mesh_traced`].
-pub fn try_gotoh_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    scoring: &Scoring,
-    sink: &mut S,
-) -> Result<AlignRun, SdpError> {
-    gotoh_core(a, b, scoring, &mut NoFaults, sink)
-}
-
-/// [`gotoh_mesh_traced`] under fault injection (perturbs `H`, keeps
-/// the `E`/`F` layers and argmax bookkeeping intact).
-pub fn gotoh_fault_traced<F: FaultInjector, S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    scoring: &Scoring,
-    injector: &mut F,
-    sink: &mut S,
-) -> Result<AlignRun, SdpError> {
-    gotoh_core(a, b, scoring, injector, sink)
-}
-
 /// Streams a batch of same-shaped pairs through one Gotoh mesh.
 pub fn gotoh_mesh_batch(
     pairs: &[(&[u8], &[u8])],
@@ -914,25 +816,10 @@ pub fn gotoh_mesh_batch_traced<S: TraceSink>(
     scoring: &Scoring,
     sink: &mut S,
 ) -> Result<BatchAlignRun, SdpError> {
-    if pairs.is_empty() {
-        return Err(SdpError::EmptyBatch);
-    }
-    let (p, q) = (pairs[0].0.len(), pairs[0].1.len());
-    for (index, (a, b)) in pairs.iter().enumerate() {
-        if (a.len(), b.len()) != (p, q) {
-            return Err(SdpError::BatchShapeMismatch { index });
-        }
-        scoring.subst.validate(a)?;
-        scoring.subst.validate(b)?;
-    }
+    let (p, q) = batch_shape(pairs, scoring)?;
     let bn = pairs.len();
     if p == 0 || q == 0 {
-        return Ok(BatchAlignRun {
-            scores: vec![0; bn],
-            ends: vec![None; bn],
-            cycles: 0,
-            stats: Stats::new(0),
-        });
+        return Ok(batch_run(&vec![NO_BEST; bn], Stats::new(0)));
     }
     let mut mesh = Mesh2D::try_new(
         p,
@@ -957,7 +844,7 @@ pub fn gotoh_mesh_batch_traced<S: TraceSink>(
     let total = (p + q - 2 + bn) as u64;
     let mut bests = Vec::with_capacity(bn);
     for t in 0..total {
-        let (east, _south) = mesh.cycle_traced(
+        let (east, _south) = mesh.cycle(
             |r| {
                 let inst = t as i64 - r as i64;
                 (0..bn as i64)
@@ -971,6 +858,7 @@ pub fn gotoh_mesh_batch_traced<S: TraceSink>(
                     .then_some((0, (OUT_OF_BAND, 0, NO_BEST)))
             },
             |_, _| (),
+            &mut NoFaults,
             sink,
         );
         if let Some((_, (_, best))) = east[p - 1] {
@@ -978,15 +866,7 @@ pub fn gotoh_mesh_batch_traced<S: TraceSink>(
         }
     }
     debug_assert_eq!(bests.len(), bn);
-    Ok(BatchAlignRun {
-        scores: bests.iter().map(|b| b.0).collect(),
-        ends: bests
-            .iter()
-            .map(|&b| (b != NO_BEST).then_some((b.1 as usize, b.2 as usize)))
-            .collect(),
-        cycles: mesh.stats().cycles(),
-        stats: mesh.stats().clone(),
-    })
+    Ok(batch_run(&bests, mesh.stats().clone()))
 }
 
 /// Recomputes the linear-gap `H` table on the `(ei+1) × (ej+1)` prefix
@@ -1060,26 +940,29 @@ pub fn recover_local_alignment(
     })
 }
 
-/// [`sw_mesh`] plus traceback: runs the forward pass on the mesh, then
-/// recovers the alignment host-side.
+/// [`try_sw_mesh`] plus traceback: runs the forward pass on the mesh,
+/// then recovers the alignment host-side.  Panics on an operand the
+/// scoring alphabet rejects.
 pub fn sw_mesh_aligned(
     a: &[u8],
     b: &[u8],
     scoring: &Scoring,
 ) -> (AlignRun, Option<LocalAlignment>) {
-    let run = sw_mesh(a, b, scoring);
+    let run =
+        try_sw_mesh(a, b, scoring, &mut NoFaults, &mut NullSink).unwrap_or_else(|e| panic!("{e}"));
     let alignment = recover_local_alignment(a, b, None, scoring, &run);
     (run, alignment)
 }
 
-/// [`sw_banded_mesh`] plus traceback (the walk respects the band).
+/// [`try_sw_banded_mesh`] plus traceback (the walk respects the band).
 pub fn sw_banded_mesh_aligned(
     a: &[u8],
     b: &[u8],
     band: usize,
     scoring: &Scoring,
 ) -> (AlignRun, Option<LocalAlignment>) {
-    let run = sw_banded_mesh(a, b, band, scoring);
+    let run = try_sw_banded_mesh(a, b, band, scoring, &mut NoFaults, &mut NullSink)
+        .unwrap_or_else(|e| panic!("{e}"));
     let alignment = recover_local_alignment(a, b, Some(band), scoring, &run);
     (run, alignment)
 }
@@ -1096,14 +979,33 @@ mod tests {
     fn known_scores() {
         // The classic SW example pair; the mesh must agree with the
         // scalar recurrence cell for cell.
-        let run = sw_mesh(b"acacacta", b"agcacaca", &scheme());
+        let run = try_sw_mesh(
+            b"acacacta",
+            b"agcacaca",
+            &scheme(),
+            &mut NoFaults,
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(run.score, sw_seq(b"acacacta", b"agcacaca", &scheme()));
         assert!(run.score > 0);
         assert_eq!(run.cycles, 8 + 8 - 1);
         // Identical strings: every symbol matches.
-        assert_eq!(sw_mesh(b"abc", b"abc", &scheme()).score, 6);
+        assert_eq!(
+            try_sw_mesh(b"abc", b"abc", &scheme(), &mut NoFaults, &mut NullSink)
+                .unwrap()
+                .score,
+            6
+        );
         // Nothing in common: the empty alignment.
-        let run = sw_mesh(b"aaa", b"bbb", &Scoring::simple(1, -2, 2));
+        let run = try_sw_mesh(
+            b"aaa",
+            b"bbb",
+            &Scoring::simple(1, -2, 2),
+            &mut NoFaults,
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(run.score, 0);
         assert_eq!(run.end, None);
     }
@@ -1111,7 +1013,7 @@ mod tests {
     #[test]
     fn empty_operands_are_empty_alignments() {
         for (a, b) in [(&b""[..], &b"abc"[..]), (b"ab", b""), (b"", b"")] {
-            let run = sw_mesh(a, b, &scheme());
+            let run = try_sw_mesh(a, b, &scheme(), &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(run.score, 0);
             assert_eq!(run.end, None);
             assert_eq!(run.cycles, 0);
@@ -1122,7 +1024,7 @@ mod tests {
     #[test]
     fn argmax_is_first_maximum_in_row_major_order() {
         // Two disjoint equal-scoring matches: "ab" appears twice in b.
-        let run = sw_mesh(b"ab", b"abxab", &scheme());
+        let run = try_sw_mesh(b"ab", b"abxab", &scheme(), &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(run.score, 4);
         assert_eq!(run.end, Some((1, 1)));
     }
@@ -1130,9 +1032,23 @@ mod tests {
     #[test]
     fn traced_matches_untraced() {
         use sdp_trace::CountingSink;
-        let plain = sw_mesh(b"acacacta", b"agcacaca", &scheme());
+        let plain = try_sw_mesh(
+            b"acacacta",
+            b"agcacaca",
+            &scheme(),
+            &mut NoFaults,
+            &mut NullSink,
+        )
+        .unwrap();
         let mut sink = CountingSink::default();
-        let traced = sw_mesh_traced(b"acacacta", b"agcacaca", &scheme(), &mut sink);
+        let traced = try_sw_mesh(
+            b"acacacta",
+            b"agcacaca",
+            &scheme(),
+            &mut NoFaults,
+            &mut sink,
+        )
+        .unwrap();
         assert_eq!(traced, plain);
         assert_eq!(sink.cycles, plain.cycles);
     }
@@ -1153,7 +1069,7 @@ mod tests {
         for case in 0..25 {
             let a = next(1 + case % 8);
             let b = next(1 + (case * 5) % 9);
-            let run = sw_mesh(&a, &b, &scheme());
+            let run = try_sw_mesh(&a, &b, &scheme(), &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(run.score, sw_seq(&a, &b, &scheme()), "a={a:?} b={b:?}");
         }
     }
@@ -1177,8 +1093,16 @@ mod tests {
     #[test]
     fn banded_with_covering_band_is_bit_identical_to_full() {
         let (a, b) = (&b"acacacta"[..], &b"agcacaca"[..]);
-        let full = sw_mesh(a, b, &scheme());
-        let banded = sw_banded_mesh(a, b, a.len().max(b.len()), &scheme());
+        let full = try_sw_mesh(a, b, &scheme(), &mut NoFaults, &mut NullSink).unwrap();
+        let banded = try_sw_banded_mesh(
+            a,
+            b,
+            a.len().max(b.len()),
+            &scheme(),
+            &mut NoFaults,
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(banded, full);
     }
 
@@ -1187,7 +1111,8 @@ mod tests {
         // With band 0 only the main diagonal computes: the one
         // mismatch costs -1 on the way through (2+2-1+2 = 5), while
         // the full mesh could do no better here.
-        let run = sw_banded_mesh(b"abcd", b"abzd", 0, &scheme());
+        let run = try_sw_banded_mesh(b"abcd", b"abzd", 0, &scheme(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(run.score, 5);
         assert_eq!(run.cycles, 4 + 4 - 1); // relays keep the schedule
     }
@@ -1196,7 +1121,7 @@ mod tests {
     fn out_of_band_cells_never_report_busy() {
         let a = vec![b'a'; 5];
         let b = vec![b'a'; 5];
-        let run = sw_banded_mesh(&a, &b, 1, &scheme());
+        let run = try_sw_banded_mesh(&a, &b, 1, &scheme(), &mut NoFaults, &mut NullSink).unwrap();
         let mut active = 0;
         for i in 0..5usize {
             for j in 0..5usize {
@@ -1221,8 +1146,8 @@ mod tests {
             (b"kitten", b"sitting"),
             (b"aaaa", b"bbb"),
         ] {
-            let sw = sw_mesh(a, b, &sc);
-            let gotoh = gotoh_mesh(a, b, &sc);
+            let sw = try_sw_mesh(a, b, &sc, &mut NoFaults, &mut NullSink).unwrap();
+            let gotoh = try_gotoh_mesh(a, b, &sc, &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(gotoh.score, sw.score);
             assert_eq!(gotoh.end, sw.end);
         }
@@ -1234,7 +1159,14 @@ mod tests {
         // and buys 8 matches (16): score 9 beats the best gapless run
         // of 4 matches (8).
         let sc = Scoring::affine(2, -3, 5, 1);
-        let run = gotoh_mesh(b"ccccxxxdddd", b"ccccdddd", &sc);
+        let run = try_gotoh_mesh(
+            b"ccccxxxdddd",
+            b"ccccdddd",
+            &sc,
+            &mut NoFaults,
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(run.score, 16 - 7);
     }
 
@@ -1242,7 +1174,14 @@ mod tests {
     fn fault_injection_corrupts_score_not_schedule() {
         use sdp_fault::{Fault, FaultPlan, PlanInjector};
         use sdp_trace::CountingSink;
-        let clean = sw_mesh(b"acacacta", b"agcacaca", &scheme());
+        let clean = try_sw_mesh(
+            b"acacacta",
+            b"agcacaca",
+            &scheme(),
+            &mut NoFaults,
+            &mut NullSink,
+        )
+        .unwrap();
         let plan = FaultPlan::new().with(Fault::StuckAt {
             pe: 0,
             cycle: 0,
@@ -1250,8 +1189,7 @@ mod tests {
         });
         let mut inj = PlanInjector::new(plan);
         let mut sink = CountingSink::default();
-        let faulty =
-            sw_fault_traced(b"acacacta", b"agcacaca", &scheme(), &mut inj, &mut sink).unwrap();
+        let faulty = try_sw_mesh(b"acacacta", b"agcacaca", &scheme(), &mut inj, &mut sink).unwrap();
         assert_ne!(faulty.score, clean.score);
         assert_eq!(faulty.cycles, clean.cycles);
         assert!(sink.faults_injected > 0);
@@ -1275,10 +1213,10 @@ mod tests {
         let batch = sw_mesh_batch(&refs, &sc).unwrap();
         let gbatch = gotoh_mesh_batch(&refs, &sc).unwrap();
         for (t, (a, b)) in pairs.iter().enumerate() {
-            let single = sw_mesh(a, b, &sc);
+            let single = try_sw_mesh(a, b, &sc, &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(batch.scores[t], single.score, "t={t}");
             assert_eq!(batch.ends[t], single.end, "t={t}");
-            let gsingle = gotoh_mesh(a, b, &sc);
+            let gsingle = try_gotoh_mesh(a, b, &sc, &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(gbatch.scores[t], gsingle.score, "t={t}");
         }
         assert_eq!(batch.cycles, (5 + 7 - 2 + 6) as u64);
@@ -1301,10 +1239,10 @@ mod tests {
     #[test]
     fn matrix_scoring_validates_symbols() {
         let sc = Scoring::matrix(2, vec![3, -1, -1, 3], 1, 1, 1);
-        let run = sw_mesh(&[0, 1, 0], &[0, 1, 0], &sc);
+        let run = try_sw_mesh(&[0, 1, 0], &[0, 1, 0], &sc, &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(run.score, 9);
         assert!(matches!(
-            try_sw_mesh(&[0, 2, 0], &[0, 1], &sc),
+            try_sw_mesh(&[0, 2, 0], &[0, 1], &sc, &mut NoFaults, &mut NullSink),
             Err(SdpError::SymbolOutOfRange {
                 index: 1,
                 symbol: 2,
@@ -1376,7 +1314,8 @@ mod tests {
         use sdp_trace::RecordingSink;
         let sc = scheme();
         let mut single_sink = RecordingSink::default();
-        let single = sw_mesh_traced(b"kitten", b"sitting", &sc, &mut single_sink);
+        let single =
+            try_sw_mesh(b"kitten", b"sitting", &sc, &mut NoFaults, &mut single_sink).unwrap();
         let mut batch_sink = RecordingSink::default();
         let batch = sw_mesh_batch_traced(&[(b"kitten", b"sitting")], &sc, &mut batch_sink).unwrap();
         assert_eq!(batch.scores, vec![single.score]);

@@ -297,46 +297,18 @@ impl Design1Array {
 
     /// Runs the array on a matrix string shaped
     /// `[1×m]? , [m×m]* , [m×1]?` (at least one matrix), exactly the
-    /// shapes produced by [`sdp_multistage::MultistageGraph`].
+    /// shapes produced by [`sdp_multistage::MultistageGraph`]; a
+    /// malformed string is a typed error.
     ///
     /// Returns the computed values together with timing statistics.
-    pub fn run(&self, mats: &[Matrix<MinPlus>]) -> Design1Result {
-        self.run_traced(mats, &mut NullSink)
-    }
-
-    /// [`run`](Self::run) with an event sink observing every clock
-    /// cycle, PE firing, latch commit, and host I/O word.  Tracing never
-    /// changes results or timing — only observes them.
-    pub fn run_traced<S: TraceSink>(
-        &self,
-        mats: &[Matrix<MinPlus>],
-        sink: &mut S,
-    ) -> Design1Result {
-        self.try_run_traced(mats, sink)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run`](Self::run) that reports malformed strings as a typed
-    /// error instead of panicking.
-    pub fn try_run(&self, mats: &[Matrix<MinPlus>]) -> Result<Design1Result, SdpError> {
-        self.try_run_traced(mats, &mut NullSink)
-    }
-
-    /// [`run_traced`](Self::run_traced) with typed errors.
-    pub fn try_run_traced<S: TraceSink>(
-        &self,
-        mats: &[Matrix<MinPlus>],
-        sink: &mut S,
-    ) -> Result<Design1Result, SdpError> {
-        self.run_core(mats, &mut NoFaults, sink, None)
-    }
-
-    /// [`try_run_traced`](Self::try_run_traced) with a [`FaultInjector`]
-    /// corrupting PE output words as they cross the inter-PE latches.
-    /// Faults perturb *values* only (the pipeline never wedges), so the
-    /// run completes and returns a possibly wrong [`Design1Result`] —
-    /// detection and recovery live in [`crate::resilient`].
-    pub fn run_fault_traced<S: TraceSink, F: FaultInjector>(
+    /// `sink` observes every clock cycle, PE firing, latch commit, and
+    /// host I/O word; tracing never changes results or timing.
+    /// `injector` corrupts PE output words as they cross the inter-PE
+    /// latches.  Faults perturb *values* only (the pipeline never
+    /// wedges), so the run completes and returns a possibly wrong
+    /// [`Design1Result`] — detection and recovery live in
+    /// [`crate::resilient`].
+    pub fn try_run<S: TraceSink, F: FaultInjector>(
         &self,
         mats: &[Matrix<MinPlus>],
         injector: &mut F,
@@ -405,7 +377,7 @@ impl Design1Array {
     }
 
     /// [`run_batch`](Self::run_batch) with an event sink.  A batch of one
-    /// emits exactly the event stream of [`run_traced`](Self::run_traced).
+    /// emits exactly the event stream of [`try_run`](Self::try_run).
     pub fn run_batch_traced<S: TraceSink>(
         &self,
         instances: &[&[Matrix<MinPlus>]],
@@ -667,7 +639,7 @@ impl Design1Array {
             } else {
                 None
             };
-            if let Some(out) = array.cycle_fault_traced(head, |_| (), |_| (), injector, sink) {
+            if let Some(out) = array.cycle(head, |_| (), |_| (), injector, sink) {
                 tail_out[drained] = Some(out);
                 drained += 1;
             }
@@ -715,7 +687,9 @@ mod tests {
     fn fig_1a_example() {
         let g = MultistageGraph::fig_1a();
         let arr = Design1Array::new(3);
-        let res = arr.run(g.matrix_string());
+        let res = arr
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let want = reference(g.matrix_string());
         assert_eq!(res.values, vec![want.get(0, 0).0]);
         assert_eq!(res.optimum(), Cost::from(9));
@@ -727,7 +701,9 @@ mod tests {
     fn uniform_multi_sink_string() {
         let g = MultistageGraph::fig_1b();
         let arr = Design1Array::new(3);
-        let res = arr.run(g.matrix_string());
+        let res = arr
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let want = reference(g.matrix_string());
         // result vector = stage-1 costs to best sink: row minima
         for (i, &v) in res.values.iter().enumerate() {
@@ -743,7 +719,9 @@ mod tests {
             let m = 1 + (seed as usize % 5);
             let g = generate::random_single_source_sink(seed, stages.max(3), m, 0, 30);
             let arr = Design1Array::new(m);
-            let res = arr.run(g.matrix_string());
+            let res = arr
+                .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             let dp = solve::forward_dp(&g);
             assert_eq!(res.optimum(), dp.cost, "seed {seed} stages {stages} m {m}");
         }
@@ -756,7 +734,9 @@ mod tests {
             let m = 1 + (seed as usize % 4);
             let g = generate::random_uniform(seed, stages, m, 0, 25);
             let arr = Design1Array::new(m);
-            let res = arr.run(g.matrix_string());
+            let res = arr
+                .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             let want = reference(g.matrix_string());
             for (i, &v) in res.values.iter().enumerate() {
                 let row_min = (0..m).map(|j| want.get(i, j).0).fold(Cost::INF, Cost::min);
@@ -771,7 +751,9 @@ mod tests {
         let row = Matrix::from_rows(1, 3, [1, 5, 2].into_iter().map(MinPlus::from).collect());
         let col = Matrix::from_rows(3, 1, [4, 0, 9].into_iter().map(MinPlus::from).collect());
         let arr = Design1Array::new(3);
-        let res = arr.run(&[row, col]);
+        let res = arr
+            .try_run(&[row, col], &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.optimum(), Cost::from(5)); // min(1+4, 5+0, 2+9)
     }
 
@@ -779,7 +761,9 @@ mod tests {
     fn m_equals_one_degenerates_gracefully() {
         let g = generate::random_uniform(3, 5, 1, 0, 9);
         let arr = Design1Array::new(1);
-        let res = arr.run(g.matrix_string());
+        let res = arr
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.optimum(), solve::forward_dp(&g).cost);
     }
 
@@ -789,7 +773,9 @@ mod tests {
         // pipeline fill latency (< m + phases).
         for (stages, m) in [(6usize, 4usize), (10, 3), (4, 8)] {
             let g = generate::random_single_source_sink(1, stages, m, 0, 9);
-            let res = Design1Array::new(m).run(g.matrix_string());
+            let res = Design1Array::new(m)
+                .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             let n_mats = (stages - 1) as u64;
             assert!(res.cycles >= res.paper_iterations - (m as u64));
             assert!(
@@ -805,7 +791,9 @@ mod tests {
     fn pu_approaches_one_for_long_strings() {
         let m = 4usize;
         let g = generate::random_single_source_sink(2, 40, m, 0, 9);
-        let res = Design1Array::new(m).run(g.matrix_string());
+        let res = Design1Array::new(m)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let n_mats = (g.num_stages() - 1) as u64;
         let serial = solve::SerialCounts::matrix_string(n_mats, m as u64);
         let pu = res.paper_pu(serial, m as u64);
@@ -818,7 +806,9 @@ mod tests {
     fn busy_fraction_is_high_in_steady_state() {
         let m = 3usize;
         let g = generate::random_single_source_sink(7, 30, m, 0, 9);
-        let res = Design1Array::new(m).run(g.matrix_string());
+        let res = Design1Array::new(m)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert!(res.stats.utilization().overall > 0.8);
     }
 
@@ -827,7 +817,8 @@ mod tests {
     fn wrong_interior_shape_rejected() {
         let arr = Design1Array::new(3);
         let bad = Matrix::<MinPlus>::zeros(2, 2);
-        arr.run(&[bad]);
+        arr.try_run(&[bad], &mut NoFaults, &mut NullSink)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -835,7 +826,9 @@ mod tests {
         // A lone m×1 column (2-stage multi-source/single-sink graph) is a
         // valid shape: the answer is the column itself.
         let col = Matrix::from_rows(3, 1, [5, 2, 7].into_iter().map(MinPlus::from).collect());
-        let res = Design1Array::new(3).run(&[col]);
+        let res = Design1Array::new(3)
+            .try_run(&[col], &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(
             res.values,
             vec![Cost::from(5), Cost::from(2), Cost::from(7)]
@@ -848,21 +841,26 @@ mod tests {
         // A 1×1 matrix read as both row and column for m = 3 is a shape
         // error and must fail with a message, not a slice-range panic.
         let one = Matrix::from_rows(1, 1, vec![MinPlus::from(4)]);
-        let _ = Design1Array::new(3).run(&[one]);
+        let _ = Design1Array::new(3)
+            .try_run(&[one], &mut NoFaults, &mut NullSink)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
     fn try_run_reports_shape_errors() {
         let arr = Design1Array::new(3);
-        assert!(matches!(arr.try_run(&[]), Err(SdpError::EmptyMatrixString)));
+        assert!(matches!(
+            arr.try_run(&[], &mut NoFaults, &mut NullSink),
+            Err(SdpError::EmptyMatrixString)
+        ));
         let bad = Matrix::<MinPlus>::zeros(2, 2);
         assert!(matches!(
-            arr.try_run(&[bad]),
+            arr.try_run(&[bad], &mut NoFaults, &mut NullSink),
             Err(SdpError::NotSquare { index: 0, m: 3 })
         ));
         let one = Matrix::from_rows(1, 1, vec![MinPlus::from(4)]);
         assert!(matches!(
-            arr.try_run(&[one]),
+            arr.try_run(&[one], &mut NoFaults, &mut NullSink),
             Err(SdpError::StringTooShort { got: 1, need: 2 })
         ));
         assert!(matches!(
@@ -876,9 +874,11 @@ mod tests {
         use sdp_fault::NoFaults;
         let g = generate::random_single_source_sink(5, 6, 4, 0, 30);
         let arr = Design1Array::new(4);
-        let plain = arr.run(g.matrix_string());
+        let plain = arr
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let faulted = arr
-            .run_fault_traced(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
             .unwrap();
         assert_eq!(plain.values, faulted.values);
         assert_eq!(plain.cycles, faulted.cycles);
@@ -891,7 +891,9 @@ mod tests {
         use sdp_trace::CountingSink;
         let g = generate::random_single_source_sink(11, 6, 4, 5, 30);
         let arr = Design1Array::new(4);
-        let clean = arr.run(g.matrix_string());
+        let clean = arr
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let plan = FaultPlan::new().with(Fault::StuckAt {
             pe: 2,
             cycle: 0,
@@ -900,7 +902,7 @@ mod tests {
         // The stuck column silently corrupts the DP value...
         let mut inj = PlanInjector::new(plan.clone());
         let faulty = arr
-            .run_fault_traced(g.matrix_string(), &mut inj, &mut NullSink)
+            .try_run(g.matrix_string(), &mut inj, &mut NullSink)
             .unwrap();
         assert_ne!(faulty.optimum(), clean.optimum());
         // ...spare-column remapping restores the exact answer, at a
@@ -996,7 +998,7 @@ mod tests {
             let batch = arr.run_batch(&refs).unwrap();
             let mut sequential_cycles = 0u64;
             for (t, s) in strings.iter().enumerate() {
-                let single = arr.run(s);
+                let single = arr.try_run(s, &mut NoFaults, &mut NullSink).unwrap();
                 assert_eq!(batch.values[t], single.values, "case {case} instance {t}");
                 sequential_cycles += single.cycles;
             }
@@ -1017,7 +1019,9 @@ mod tests {
         let g = generate::random_single_source_sink(21, 6, 4, 0, 30);
         let arr = Design1Array::new(4);
         let mut single_sink = RecordingSink::default();
-        let single = arr.run_traced(g.matrix_string(), &mut single_sink);
+        let single = arr
+            .try_run(g.matrix_string(), &mut NoFaults, &mut single_sink)
+            .unwrap();
         let mut batch_sink = RecordingSink::default();
         let batch = arr
             .run_batch_traced(&[g.matrix_string()], &mut batch_sink)
@@ -1043,7 +1047,9 @@ mod tests {
         let arr = Design1Array::new(m);
         let n_mats = (stages - 1) as u64;
         let serial = solve::SerialCounts::matrix_string(n_mats, m as u64);
-        let single = arr.run(&strings[0]);
+        let single = arr
+            .try_run(&strings[0], &mut NoFaults, &mut NullSink)
+            .unwrap();
         let single_pu = single.measured_pu(serial);
         let batch = arr.run_batch(&refs).unwrap();
         let batch_pu = batch.measured_pu(serial * b as u64);

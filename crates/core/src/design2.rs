@@ -116,72 +116,31 @@ impl Design2Array {
 
     /// Runs the array on a matrix string shaped `[1×m]? [m×m]* [m×1]?`
     /// (same contract as Design 1).
-    pub fn run(&self, mats: &[Matrix<MinPlus>]) -> Design2Result {
-        self.run_traced(mats, &mut NullSink)
-    }
-
-    /// [`run`](Self::run) with an event sink.  Every broadcast word is
-    /// one cycle: a `CycleStart`, a `WordIn` (the word on the bus), one
-    /// `PeFire` per PE, and a `BusDrive` marking the broadcast itself.
-    pub fn run_traced<S: TraceSink>(
-        &self,
-        mats: &[Matrix<MinPlus>],
-        sink: &mut S,
-    ) -> Design2Result {
-        self.try_run_traced(mats, sink)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run`](Self::run) that reports malformed strings as a typed
-    /// error instead of panicking.
-    pub fn try_run(&self, mats: &[Matrix<MinPlus>]) -> Result<Design2Result, SdpError> {
-        self.try_run_traced(mats, &mut NullSink)
-    }
-
-    /// [`run_traced`](Self::run_traced) with typed errors.
-    pub fn try_run_traced<S: TraceSink>(
-        &self,
-        mats: &[Matrix<MinPlus>],
-        sink: &mut S,
-    ) -> Result<Design2Result, SdpError> {
-        self.run_fault_traced(mats, &mut NoFaults, sink)
-    }
-
-    /// [`try_run_traced`](Self::try_run_traced) with a [`FaultInjector`]
-    /// corrupting the candidate words PEs read off the broadcast bus
-    /// (value faults only — control flow never wedges).  With
-    /// [`NoFaults`] this is exactly the fault-free run.
-    pub fn run_fault_traced<S: TraceSink, F: FaultInjector>(
+    ///
+    /// Every broadcast word is one cycle of `sink`'s stream: a
+    /// `CycleStart`, a `WordIn` (the word on the bus), one `PeFire` per
+    /// PE, and a `BusDrive` marking the broadcast itself.  `injector`
+    /// corrupts the candidate words PEs read off the broadcast bus
+    /// (value faults only — control flow never wedges).
+    pub fn try_run<S: TraceSink, F: FaultInjector>(
         &self,
         mats: &[Matrix<MinPlus>],
         injector: &mut F,
         sink: &mut S,
     ) -> Result<Design2Result, SdpError> {
-        let (has_row, has_col) = self.validate(mats)?;
-        let mut pes = vec![
-            Pe2 {
-                acc: MinPlus::zero(),
-                s: MinPlus::zero(),
-            };
-            self.m
-        ];
-        let mut stats = Stats::new(self.m);
-        let mut broadcast_words = 0u64;
-        let (values, path) = self.run_instance(
-            mats,
-            has_row,
-            has_col,
-            &mut pes,
-            &mut stats,
-            &mut broadcast_words,
-            injector,
-            sink,
-        );
+        let Design2BatchResult {
+            mut values,
+            mut paths,
+            cycles,
+            paper_iterations,
+            stats,
+            broadcast_words,
+        } = self.run_batch_core(&[mats], injector, sink)?;
         Ok(Design2Result {
-            values,
-            path,
-            cycles: stats.cycles(),
-            paper_iterations: (mats.len() * self.m) as u64,
+            values: values.pop().expect("one instance"),
+            path: paths.pop().expect("one instance"),
+            cycles,
+            paper_iterations,
             stats,
             broadcast_words,
         })
@@ -204,6 +163,16 @@ impl Design2Array {
     pub fn run_batch_traced<S: TraceSink>(
         &self,
         instances: &[&[Matrix<MinPlus>]],
+        sink: &mut S,
+    ) -> Result<Design2BatchResult, SdpError> {
+        self.run_batch_core(instances, &mut NoFaults, sink)
+    }
+
+    /// The shared single/batched driver.
+    fn run_batch_core<S: TraceSink, F: FaultInjector>(
+        &self,
+        instances: &[&[Matrix<MinPlus>]],
+        injector: &mut F,
         sink: &mut S,
     ) -> Result<Design2BatchResult, SdpError> {
         if instances.is_empty() {
@@ -245,7 +214,7 @@ impl Design2Array {
                 &mut pes,
                 &mut stats,
                 &mut broadcast_words,
-                &mut NoFaults,
+                injector,
                 sink,
             );
             values.push(v);
@@ -464,7 +433,9 @@ mod tests {
     #[test]
     fn fig_1a_example() {
         let g = MultistageGraph::fig_1a();
-        let res = Design2Array::new(3).run(g.matrix_string());
+        let res = Design2Array::new(3)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.optimum(), Cost::from(9));
     }
 
@@ -475,8 +446,12 @@ mod tests {
             let stages = 3 + (seed as usize % 6);
             let m = 1 + (seed as usize % 5);
             let g = generate::random_single_source_sink(seed, stages, m, 0, 30);
-            let d1 = Design1Array::new(m).run(g.matrix_string());
-            let d2 = Design2Array::new(m).run(g.matrix_string());
+            let d1 = Design1Array::new(m)
+                .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
+            let d2 = Design2Array::new(m)
+                .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             let dp = solve::forward_dp(&g);
             assert_eq!(d2.optimum(), dp.cost, "seed {seed}");
             assert_eq!(d1.optimum(), d2.optimum(), "seed {seed}");
@@ -486,7 +461,9 @@ mod tests {
     #[test]
     fn uniform_string_vector_result() {
         let g = MultistageGraph::fig_1b();
-        let res = Design2Array::new(3).run(g.matrix_string());
+        let res = Design2Array::new(3)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let want = sdp_semiring::Matrix::string_product(g.matrix_string());
         for (i, &v) in res.values.iter().enumerate() {
             let row_min = (0..3).map(|j| want.get(i, j).0).fold(Cost::INF, Cost::min);
@@ -499,7 +476,9 @@ mod tests {
         // Broadcast phases: one cycle per broadcast word; interior phases
         // plus the optional row phase each take m cycles.
         let g = generate::random_single_source_sink(4, 8, 5, 0, 9);
-        let res = Design2Array::new(5).run(g.matrix_string());
+        let res = Design2Array::new(5)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         // stages=8 -> 7 matrices: row + 5 interior + col.
         // cycles = (5 interior + 1 row) * m = 30
         assert_eq!(res.cycles, 30);
@@ -509,7 +488,9 @@ mod tests {
     #[test]
     fn broadcast_word_count_equals_cycles() {
         let g = generate::random_uniform(9, 6, 4, 0, 9);
-        let res = Design2Array::new(4).run(g.matrix_string());
+        let res = Design2Array::new(4)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.broadcast_words, res.cycles);
     }
 
@@ -517,14 +498,18 @@ mod tests {
     fn full_pe_utilization_in_interior_phases() {
         // With no row phase every PE is busy every cycle.
         let g = generate::random_uniform(2, 7, 3, 0, 9);
-        let res = Design2Array::new(3).run(g.matrix_string());
+        let res = Design2Array::new(3)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert!((res.stats.utilization().overall - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn m_equals_one() {
         let g = generate::random_uniform(5, 4, 1, 1, 5);
-        let res = Design2Array::new(1).run(g.matrix_string());
+        let res = Design2Array::new(1)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.optimum(), solve::forward_dp(&g).cost);
     }
 
@@ -534,7 +519,9 @@ mod tests {
             let stages = 3 + (seed as usize % 6);
             let m = 1 + (seed as usize % 5);
             let g = generate::random_single_source_sink(seed, stages, m, 0, 30);
-            let res = Design2Array::new(m).run(g.matrix_string());
+            let res = Design2Array::new(m)
+                .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             let path = res.path.clone().expect("finite optimum has a path");
             assert_eq!(path.len(), g.num_stages(), "seed {seed}");
             assert_eq!(solve::path_cost(&g, &path), res.optimum(), "seed {seed}");
@@ -545,7 +532,9 @@ mod tests {
     fn recovered_path_on_uniform_strings() {
         for seed in 0..8 {
             let g = generate::random_uniform(seed, 6, 4, 0, 20);
-            let res = Design2Array::new(4).run(g.matrix_string());
+            let res = Design2Array::new(4)
+                .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             let path = res.path.clone().expect("path");
             assert_eq!(solve::path_cost(&g, &path), res.optimum(), "seed {seed}");
         }
@@ -554,10 +543,13 @@ mod tests {
     #[test]
     fn try_run_reports_shape_errors() {
         let arr = Design2Array::new(3);
-        assert!(matches!(arr.try_run(&[]), Err(SdpError::EmptyMatrixString)));
+        assert!(matches!(
+            arr.try_run(&[], &mut NoFaults, &mut NullSink),
+            Err(SdpError::EmptyMatrixString)
+        ));
         let bad = Matrix::<MinPlus>::zeros(2, 2);
         assert!(matches!(
-            arr.try_run(&[bad]),
+            arr.try_run(&[bad], &mut NoFaults, &mut NullSink),
             Err(SdpError::NotSquare { index: 0, m: 3 })
         ));
         assert!(matches!(
@@ -572,9 +564,11 @@ mod tests {
         use sdp_trace::CountingSink;
         let g = generate::random_single_source_sink(6, 6, 4, 5, 30);
         let arr = Design2Array::new(4);
-        let clean = arr.run(g.matrix_string());
+        let clean = arr
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let same = arr
-            .run_fault_traced(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
             .unwrap();
         assert_eq!(clean.values, same.values);
         assert_eq!(clean.cycles, same.cycles);
@@ -585,9 +579,7 @@ mod tests {
         });
         let mut inj = PlanInjector::new(plan);
         let mut sink = CountingSink::default();
-        let faulty = arr
-            .run_fault_traced(g.matrix_string(), &mut inj, &mut sink)
-            .unwrap();
+        let faulty = arr.try_run(g.matrix_string(), &mut inj, &mut sink).unwrap();
         assert_ne!(faulty.optimum(), clean.optimum());
         assert!(sink.faults_injected > 0);
         assert_eq!(faulty.cycles, clean.cycles, "value faults never stall");
@@ -603,7 +595,7 @@ mod tests {
         let batch = arr.run_batch(&strings).unwrap();
         let mut seq_cycles = 0;
         for (t, s) in strings.iter().enumerate() {
-            let single = arr.run(s);
+            let single = arr.try_run(s, &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(batch.values[t], single.values, "t={t}");
             assert_eq!(batch.paths[t], single.path, "t={t}");
             seq_cycles += single.cycles;
@@ -628,7 +620,7 @@ mod tests {
         let mut offset = 0u64;
         for s in &strings {
             let mut sink = RecordingSink::default();
-            let single = arr.run_traced(s, &mut sink);
+            let single = arr.try_run(s, &mut NoFaults, &mut sink).unwrap();
             expect.extend(sink.events.into_iter().map(|e| match e {
                 Event::CycleStart { cycle } => Event::CycleStart {
                     cycle: cycle + offset,
@@ -657,7 +649,9 @@ mod tests {
     fn sparse_graph_path_valid_or_absent() {
         for seed in 0..10 {
             let g = generate::random_sparse(seed, 5, 3, 1, 9, 0.5);
-            let res = Design2Array::new(3).run(g.matrix_string());
+            let res = Design2Array::new(3)
+                .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+                .unwrap();
             if let Some(path) = &res.path {
                 assert_eq!(solve::path_cost(&g, path), res.optimum(), "seed {seed}");
             } else {

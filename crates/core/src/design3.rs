@@ -220,54 +220,34 @@ impl Design3Array {
     }
 
     /// Runs the array on a node-value graph whose stages all hold exactly
-    /// `m` values (the paper's uniform assumption).
+    /// `m` values (the paper's uniform assumption); a stage of any other
+    /// width is a typed error.
     ///
     /// ```
     /// use sdp_core::Design3Array;
+    /// use sdp_fault::NoFaults;
     /// use sdp_multistage::generate;
+    /// use sdp_trace::NullSink;
     /// let plan = generate::traffic_light(7, 4, 3); // 4 stages, 3 values
-    /// let res = Design3Array::new(3).run(&plan);
+    /// let res = Design3Array::new(3)
+    ///     .try_run(&plan, &mut NoFaults, &mut NullSink)
+    ///     .unwrap();
     /// // the paper's Fig. 1(b) timing: (N+1)·m = 15 iterations
     /// assert_eq!(res.cycles, 15);
     /// assert!(res.cost.is_finite());
     /// ```
-    pub fn run(&self, g: &NodeValueGraph) -> Design3Result {
-        self.run_traced(g, &mut NullSink)
-    }
-
-    /// [`run`](Self::run) with an event sink.  Array events come from
-    /// [`LinearArray::cycle_traced`]; the token bus reports its
-    /// `BusDrive`/`BusDeliver`/`TokenAdvance` activity through the same
-    /// sink and folds word/rotation counts into the array's [`Stats`]
-    /// (so `stats.bus_words()` in the result covers the feedback bus).
-    pub fn run_traced<S: TraceSink>(&self, g: &NodeValueGraph, sink: &mut S) -> Design3Result {
-        self.try_run_traced(g, sink)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run`](Self::run) that reports a malformed graph (a stage whose
-    /// width is not `m`) as a typed error instead of panicking.
-    pub fn try_run(&self, g: &NodeValueGraph) -> Result<Design3Result, SdpError> {
-        self.try_run_traced(g, &mut NullSink)
-    }
-
-    /// [`run_traced`](Self::run_traced) with typed errors.
-    pub fn try_run_traced<S: TraceSink>(
-        &self,
-        g: &NodeValueGraph,
-        sink: &mut S,
-    ) -> Result<Design3Result, SdpError> {
-        self.run_fault_traced(g, &mut NoFaults, sink)
-    }
-
-    /// [`try_run_traced`](Self::try_run_traced) with a [`FaultInjector`]
-    /// exercising both fault surfaces of Fig. 5: PE output words in the
-    /// R-pipeline (payload `h` only — routing state stays intact) and
-    /// the feedback token bus (dropped/corrupted words, lost
-    /// rotations).  Faults degrade values, never the schedule, so the
-    /// run always terminates; an unrecoverable traceback yields an
-    /// empty path rather than a panic.
-    pub fn run_fault_traced<S: TraceSink, F: FaultInjector>(
+    ///
+    /// Array events reach `sink` from [`LinearArray::cycle`]; the token
+    /// bus reports its `BusDrive`/`BusDeliver`/`TokenAdvance` activity
+    /// through the same sink and folds word/rotation counts into the
+    /// array's [`Stats`] (so `stats.bus_words()` in the result covers the
+    /// feedback bus).  `injector` exercises both fault surfaces of
+    /// Fig. 5: PE output words in the R-pipeline (payload `h` only —
+    /// routing state stays intact) and the feedback token bus
+    /// (dropped/corrupted words, lost rotations).  Faults degrade values,
+    /// never the schedule, so the run always terminates; an
+    /// unrecoverable traceback yields an empty path rather than a panic.
+    pub fn try_run<S: TraceSink, F: FaultInjector>(
         &self,
         g: &NodeValueGraph,
         injector: &mut F,
@@ -310,7 +290,7 @@ impl Design3Array {
     }
 
     /// [`run_batch`](Self::run_batch) with an event sink.  A batch of one
-    /// emits exactly the event stream of [`run_traced`](Self::run_traced).
+    /// emits exactly the event stream of [`try_run`](Self::try_run).
     pub fn run_batch_traced<S: TraceSink>(
         &self,
         graphs: &[&NodeValueGraph],
@@ -379,7 +359,7 @@ impl Design3Array {
         while answered < bn {
             // 1. settle last cycle's feedback onto a PE (ext delivery);
             //    bus accounting folds into the array's own Stats.
-            let delivery = bus.settle_fault_traced(array.stats_mut(), injector, sink);
+            let delivery = bus.settle(array.stats_mut(), injector, sink);
             // 2. head injection per the static schedule.
             let head = if injected < total_inputs {
                 let inst = injected / period;
@@ -413,7 +393,7 @@ impl Design3Array {
                 None
             };
             // 3. clock the array.
-            let out = array.cycle_fault_traced(
+            let out = array.cycle(
                 head,
                 |i| {
                     delivery.and_then(|(st, (h, (inst, stage, x)))| {
@@ -442,7 +422,7 @@ impl Design3Array {
                     if stage == n - 1 {
                         finals[inst].push(item.h);
                     }
-                    bus.drive_traced((item.h, (item.inst, stage, item.x)), sink);
+                    bus.drive((item.h, (item.inst, stage, item.x)), sink);
                 }
             }
         }
@@ -511,7 +491,9 @@ mod tests {
         // The paper: "For the graph in Figure 1(b), the process is
         // completed in 15 iterations" — N = 4 stages, m = 3.
         let g = generate::traffic_light(1, 4, 3);
-        let res = Design3Array::new(3).run(&g);
+        let res = Design3Array::new(3)
+            .try_run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.paper_iterations, 15);
         assert_eq!(res.cycles, 15);
     }
@@ -529,7 +511,9 @@ mod tests {
                 -20,
                 20,
             );
-            let res = Design3Array::new(m).run(&g);
+            let res = Design3Array::new(m)
+                .try_run(&g, &mut NoFaults, &mut NullSink)
+                .unwrap();
             let dp = solve::backward_dp(&g.to_multistage());
             assert_eq!(res.cost, dp.cost, "seed {seed}");
         }
@@ -538,7 +522,9 @@ mod tests {
     #[test]
     fn finals_match_per_vertex_dp_values() {
         let g = generate::circuit_voltage(5, 5, 4);
-        let res = Design3Array::new(4).run(&g);
+        let res = Design3Array::new(4)
+            .try_run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap();
         let dp = solve::backward_dp(&g.to_multistage());
         // dp.value[last][j] = best cost from any source to vertex j.
         for j in 0..4 {
@@ -557,7 +543,9 @@ mod tests {
                 -10,
                 10,
             );
-            let res = Design3Array::new(4).run(&g);
+            let res = Design3Array::new(4)
+                .try_run(&g, &mut NoFaults, &mut NullSink)
+                .unwrap();
             let ms = g.to_multistage();
             assert_eq!(solve::path_cost(&ms, &res.path), res.cost, "seed {seed}");
         }
@@ -574,7 +562,9 @@ mod tests {
                 0,
                 9,
             );
-            let res = Design3Array::new(m).run(&g);
+            let res = Design3Array::new(m)
+                .try_run(&g, &mut NoFaults, &mut NullSink)
+                .unwrap();
             assert_eq!(res.cycles, ((n + 1) * m) as u64, "n={n} m={m}");
         }
     }
@@ -582,7 +572,9 @@ mod tests {
     #[test]
     fn io_words_are_nm_plus_token() {
         let g = generate::traffic_light(2, 6, 4);
-        let res = Design3Array::new(4).run(&g);
+        let res = Design3Array::new(4)
+            .try_run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.input_words, 6 * 4 + 1);
     }
 
@@ -590,7 +582,9 @@ mod tests {
     fn f_evaluations_equal_serial_work() {
         // Each of the (N-1)·m² edge relaxations evaluates f exactly once.
         let g = generate::traffic_light(3, 5, 3);
-        let res = Design3Array::new(3).run(&g);
+        let res = Design3Array::new(3)
+            .try_run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.f_evaluations, 4 * 9);
     }
 
@@ -604,7 +598,9 @@ mod tests {
             0,
             50,
         );
-        let res = Design3Array::new(4).run(&g);
+        let res = Design3Array::new(4)
+            .try_run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap();
         let serial = solve::SerialCounts::node_value(40, 4);
         let pu = res.measured_pu(serial);
         let paper = solve::SerialCounts::design3_pu(40, 4);
@@ -621,7 +617,9 @@ mod tests {
             generate::task_scheduling(4, 5, 3),
         ];
         for (i, g) in apps.iter().enumerate() {
-            let res = Design3Array::new(3).run(g);
+            let res = Design3Array::new(3)
+                .try_run(g, &mut NoFaults, &mut NullSink)
+                .unwrap();
             let dp = solve::backward_dp(&g.to_multistage());
             assert_eq!(res.cost, dp.cost, "app {i}");
             assert_eq!(
@@ -645,7 +643,9 @@ mod tests {
                 weights: vec![1, 10, 1],
             }),
         );
-        let res = Design3Array::new(3).run(&weighted);
+        let res = Design3Array::new(3)
+            .try_run(&weighted, &mut NoFaults, &mut NullSink)
+            .unwrap();
         let dp = solve::backward_dp(&weighted.to_multistage());
         assert_eq!(res.cost, dp.cost);
         assert_eq!(
@@ -673,7 +673,9 @@ mod tests {
             }
         }
         let g = NodeValueGraph::new(vec![vec![0, 1], vec![2, 3]], Box::new(Never));
-        let res = Design3Array::new(2).run(&g);
+        let res = Design3Array::new(2)
+            .try_run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert!(res.cost.is_inf());
         assert!(res.path.is_empty());
     }
@@ -682,14 +684,16 @@ mod tests {
     #[should_panic(expected = "must have m")]
     fn wrong_width_rejected() {
         let g = generate::traffic_light(1, 4, 3);
-        let _ = Design3Array::new(4).run(&g);
+        let _ = Design3Array::new(4)
+            .try_run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
     fn try_run_reports_wrong_width() {
         let g = generate::traffic_light(1, 4, 3);
         assert!(matches!(
-            Design3Array::new(4).try_run(&g),
+            Design3Array::new(4).try_run(&g, &mut NoFaults, &mut NullSink),
             Err(SdpError::WrongStageWidth {
                 stage: 0,
                 m: 4,
@@ -703,31 +707,12 @@ mod tests {
     }
 
     #[test]
-    fn no_faults_run_is_identical() {
-        use sdp_fault::NoFaults;
-        use sdp_trace::CountingSink;
-        let g = generate::circuit_voltage(3, 5, 3);
-        let arr = Design3Array::new(3);
-        let mut sink_a = CountingSink::default();
-        let mut sink_b = CountingSink::default();
-        let plain = arr.run_traced(&g, &mut sink_a);
-        let faulted = arr
-            .run_fault_traced(&g, &mut NoFaults, &mut sink_b)
-            .unwrap();
-        assert_eq!(plain.cost, faulted.cost);
-        assert_eq!(plain.finals, faulted.finals);
-        assert_eq!(plain.path, faulted.path);
-        assert_eq!(plain.cycles, faulted.cycles);
-        assert_eq!(sink_a, sink_b);
-    }
-
-    #[test]
     fn injected_faults_degrade_values_without_wedging() {
         use sdp_fault::{Fault, FaultPlan, PlanInjector};
         use sdp_trace::CountingSink;
         let g = generate::circuit_voltage(8, 6, 4);
         let arr = Design3Array::new(4);
-        let clean = arr.run(&g);
+        let clean = arr.try_run(&g, &mut NoFaults, &mut NullSink).unwrap();
         // A stuck PE, a dropped feedback word, and a lost rotation all
         // at once: the schedule must still terminate in the same cycle
         // count, with (likely) degraded values.
@@ -741,7 +726,7 @@ mod tests {
             .with(Fault::LoseTokenRotation { rotation: 7 });
         let mut inj = PlanInjector::new(plan);
         let mut sink = CountingSink::default();
-        let faulty = arr.run_fault_traced(&g, &mut inj, &mut sink).unwrap();
+        let faulty = arr.try_run(&g, &mut inj, &mut sink).unwrap();
         assert_eq!(faulty.cycles, clean.cycles, "faults never stall the clock");
         assert!(sink.faults_injected >= 3);
         assert_ne!(faulty.finals, clean.finals);
@@ -752,7 +737,9 @@ mod tests {
         // Every stage result is fed back on the token bus exactly once:
         // N·m words, N·m rotations — visible in the result's Stats.
         let g = generate::traffic_light(2, 6, 4);
-        let res = Design3Array::new(4).run(&g);
+        let res = Design3Array::new(4)
+            .try_run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap();
         assert_eq!(res.stats.bus_words(), 6 * 4);
         assert_eq!(res.stats.token_rotations(), 6 * 4);
     }
@@ -761,9 +748,13 @@ mod tests {
     fn traced_run_matches_untraced() {
         use sdp_trace::CountingSink;
         let g = generate::circuit_voltage(9, 5, 3);
-        let plain = Design3Array::new(3).run(&g);
+        let plain = Design3Array::new(3)
+            .try_run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap();
         let mut sink = CountingSink::default();
-        let traced = Design3Array::new(3).run_traced(&g, &mut sink);
+        let traced = Design3Array::new(3)
+            .try_run(&g, &mut NoFaults, &mut sink)
+            .unwrap();
         assert_eq!(traced.cost, plain.cost);
         assert_eq!(traced.path, plain.path);
         assert_eq!(traced.cycles, plain.cycles);
@@ -794,7 +785,7 @@ mod tests {
         let array = Design3Array::new(m);
         let batch = array.run_batch(&refs).unwrap();
         for (t, g) in graphs.iter().enumerate() {
-            let single = array.run(g);
+            let single = array.try_run(g, &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(batch.costs[t], single.cost, "instance {t}");
             assert_eq!(batch.finals[t], single.finals, "instance {t}");
             assert_eq!(batch.paths[t], single.path, "instance {t}");
@@ -823,7 +814,10 @@ mod tests {
         let refs: Vec<&NodeValueGraph> = graphs.iter().collect();
         let array = Design3Array::new(m);
         let serial = solve::SerialCounts::node_value(n as u64, m as u64);
-        let single_pu = array.run(&graphs[0]).measured_pu(serial);
+        let single_pu = array
+            .try_run(&graphs[0], &mut NoFaults, &mut NullSink)
+            .unwrap()
+            .measured_pu(serial);
         let batch = array.run_batch(&refs).unwrap();
         let batch_pu = batch.measured_pu(serial * b as u64);
         assert!(
@@ -838,7 +832,7 @@ mod tests {
         let g = generate::circuit_voltage(13, 6, 3);
         let array = Design3Array::new(3);
         let mut single_sink = RecordingSink::default();
-        let single = array.run_traced(&g, &mut single_sink);
+        let single = array.try_run(&g, &mut NoFaults, &mut single_sink).unwrap();
         let mut batch_sink = RecordingSink::default();
         let batch = array.run_batch_traced(&[&g], &mut batch_sink).unwrap();
         assert_eq!(batch.costs, vec![single.cost]);

@@ -4,10 +4,10 @@
 //! AND-tree by `K` matrix-multiplication systolic arrays.  This module
 //! packages the paper's three analyses plus a real parallel executor:
 //!
-//! * [`granularity_sweep`] — numerical evaluation of Eq. 29 over `K`
+//! * [`try_granularity_sweep`] — numerical evaluation of Eq. 29 over `K`
 //!   (**Figure 6**: `K·T²` is minimized near `N/log₂N`, with the jagged
 //!   divisibility artifacts the paper notes);
-//! * [`pu_asymptotic`] — `PU(k, N)` for `k = c·N/log₂N`
+//! * [`try_pu_asymptotic`] — `PU(k, N)` for `k = c·N/log₂N`
 //!   (**Proposition 1**: the limit is `1/(1+c)`);
 //! * [`st2`] — the `S·T²` figure of merit of **Theorem 1**, minimized at
 //!   `S = Θ(N/log₂N)` where it reaches `Θ(N·log₂N)`;
@@ -18,10 +18,10 @@
 use sdp_fault::{FaultInjector, RecoveryStats, SdpError};
 use sdp_par::StealPool;
 use sdp_semiring::{Matrix, Semiring};
-use sdp_systolic::scheduler::{eq29_kt2, eq29_time, Schedule, TreeScheduler};
+use sdp_systolic::scheduler::{eq29_kt2, try_eq29_time, TreeScheduler};
 use sdp_trace::chrome::ChromeTrace;
 use sdp_trace::json::Json;
-use sdp_trace::{Event, FaultKind, TraceSink};
+use sdp_trace::{Event, FaultKind, NullSink, TraceSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -38,21 +38,16 @@ pub struct GranularityPoint {
     pub pu: f64,
 }
 
-/// Evaluates Eq. 29 for every `K` in `[1, k_max]` (Figure 6's x-axis).
+/// Evaluates Eq. 29 for every `K` in `[1, k_max]` (Figure 6's x-axis);
+/// `n < 2` or `k_max < 1` is a typed error.
 ///
 /// ```
-/// use sdp_core::dnc::granularity_sweep;
-/// let sweep = granularity_sweep(4096, 512);
+/// use sdp_core::dnc::try_granularity_sweep;
+/// let sweep = try_granularity_sweep(4096, 512).unwrap();
 /// // K = 431 (a paper-highlighted point): T = 18, K·T² = 139644.
 /// assert_eq!(sweep[430].t, 18);
 /// assert_eq!(sweep[430].kt2, 139644);
 /// ```
-pub fn granularity_sweep(n: u64, k_max: u64) -> Vec<GranularityPoint> {
-    try_granularity_sweep(n, k_max).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`granularity_sweep`] that reports malformed parameters (`n < 2` or
-/// `k_max < 1`) as a typed error instead of panicking.
 pub fn try_granularity_sweep(n: u64, k_max: u64) -> Result<Vec<GranularityPoint>, SdpError> {
     if n < 2 {
         return Err(SdpError::BadParameter {
@@ -68,23 +63,27 @@ pub fn try_granularity_sweep(n: u64, k_max: u64) -> Result<Vec<GranularityPoint>
             min: 1,
         });
     }
-    Ok((1..=k_max)
+    (1..=k_max)
         .map(|k| {
-            let t = eq29_time(n, k);
-            GranularityPoint {
+            let t = try_eq29_time(n, k)?;
+            Ok(GranularityPoint {
                 k,
                 t,
                 kt2: eq29_kt2(n, k),
-                pu: TreeScheduler.simulate(n, k).processor_utilization(),
-            }
+                pu: TreeScheduler
+                    .try_simulate(n, k, &mut NullSink)?
+                    .processor_utilization(),
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// The `K` minimizing `K·T²` over `[1, k_max]` (ties: smallest `K`),
-/// with the achieved value — Figure 6's minimum marker.
+/// with the achieved value — Figure 6's minimum marker.  Panics where
+/// [`try_granularity_sweep`] reports an error.
 pub fn optimal_granularity(n: u64, k_max: u64) -> (u64, u64) {
-    granularity_sweep(n, k_max)
+    try_granularity_sweep(n, k_max)
+        .unwrap_or_else(|e| panic!("{e}"))
         .into_iter()
         .map(|p| (p.k, p.kt2))
         .min_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
@@ -93,12 +92,7 @@ pub fn optimal_granularity(n: u64, k_max: u64) -> (u64, u64) {
 
 /// `PU(k, N)` for `k = max(1, round(c · N / log₂N))` via the greedy
 /// schedule — the quantity of Proposition 1, whose limit is `1/(1+c)`.
-pub fn pu_asymptotic(n: u64, c: f64) -> f64 {
-    try_pu_asymptotic(n, c).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`pu_asymptotic`] that reports `n < 4` as a typed error instead of
-/// panicking.
+/// `n < 4` is a typed error.
 pub fn try_pu_asymptotic(n: u64, c: f64) -> Result<f64, SdpError> {
     if n < 4 {
         return Err(SdpError::BadParameter {
@@ -108,24 +102,21 @@ pub fn try_pu_asymptotic(n: u64, c: f64) -> Result<f64, SdpError> {
         });
     }
     let k = ((c * n as f64 / (n as f64).log2()).round() as u64).max(1);
-    Ok(TreeScheduler.simulate(n, k).processor_utilization())
+    Ok(TreeScheduler
+        .try_simulate(n, k, &mut NullSink)?
+        .processor_utilization())
 }
 
 /// `S·T²` with `T` from Eq. 29 — Theorem 1's figure of merit
 /// (with `T₁ = 1`).
 pub fn st2(n: u64, s: u64) -> u64 {
-    let t = eq29_time(n, s);
+    let t = try_eq29_time(n, s).unwrap_or_else(|e| panic!("{e}"));
     s * t * t
 }
 
 /// The theoretical lower-bound order `N·log₂N` of Theorem 1 (`T₁ = 1`).
 pub fn at2_lower_bound(n: u64) -> f64 {
     n as f64 * (n as f64).log2()
-}
-
-/// Runs the greedy schedule and returns it (re-exported convenience).
-pub fn schedule(n: u64, k: u64) -> Schedule {
-    TreeScheduler.simulate(n, k)
 }
 
 /// A host-thread executor for the divide-and-conquer reduction: each
@@ -164,41 +155,30 @@ impl ParallelExecutor {
 
     /// Multiplies the string by rounds of pairwise products.  Returns the
     /// product and the number of rounds (the measured schedule length).
-    pub fn multiply_string<S: Semiring>(&self, mats: &[Matrix<S>]) -> (Matrix<S>, u64) {
-        self.try_multiply_string(mats)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`multiply_string`](Self::multiply_string) with typed errors: an
-    /// empty string or a worker task that panics becomes an `Err`
-    /// instead of a panic (the panic is contained per task, so the
-    /// scoped join always completes and the host survives).
+    /// An empty string or a worker task that panics becomes an `Err`
+    /// (the panic is contained per task, so the scoped join always
+    /// completes and the host survives).
+    ///
+    /// With `trace` set, each worker's product becomes a Chrome trace
+    /// duration event (`tid` = worker slot, `args.round` = round index,
+    /// microsecond timestamps from the run start), so the synchronous
+    /// rounds and their stragglers are visible in Perfetto.  Without it
+    /// the clock is never read.
     pub fn try_multiply_string<S: Semiring>(
         &self,
         mats: &[Matrix<S>],
+        trace: Option<&mut ChromeTrace>,
     ) -> Result<(Matrix<S>, u64), SdpError> {
-        self.run(mats, None)
+        self.reduce(mats, self.k.max(1), trace)
     }
 
-    /// [`multiply_string`](Self::multiply_string) instrumented with
-    /// wall-clock spans: each worker's product becomes a Chrome trace
-    /// duration event (`tid` = worker slot, `args.round` = round index,
-    /// microsecond timestamps from the run start), so the synchronous
-    /// rounds and their stragglers are visible in Perfetto.
-    pub fn multiply_string_chrome<S: Semiring>(
+    /// The round loop behind [`Self::try_multiply_string`] and
+    /// [`Self::multiply_string_pool`]: each round multiplies at most
+    /// `per_round` adjacent pairs on the pool.
+    fn reduce<S: Semiring>(
         &self,
         mats: &[Matrix<S>],
-    ) -> (Matrix<S>, u64, ChromeTrace) {
-        let mut trace = ChromeTrace::new();
-        let (product, rounds) = self
-            .run(mats, Some(&mut trace))
-            .unwrap_or_else(|e| panic!("{e}"));
-        (product, rounds, trace)
-    }
-
-    fn run<S: Semiring>(
-        &self,
-        mats: &[Matrix<S>],
+        per_round: usize,
         mut trace: Option<&mut ChromeTrace>,
     ) -> Result<(Matrix<S>, u64), SdpError> {
         if mats.is_empty() {
@@ -213,8 +193,8 @@ impl ParallelExecutor {
         while layer.len() > 1 {
             rounds += 1;
             // Pair up the first 2·t matrices this round, carrying the rest
-            // over by move (no cloning) — mirrors TreeScheduler::simulate.
-            let t = (layer.len() / 2).min(self.k.max(1));
+            // over by move (no cloning) — mirrors TreeScheduler::try_simulate.
+            let t = (layer.len() / 2).min(per_round);
             // A panicking product (e.g. a dimension mismatch) is contained
             // inside the pool: the host observes an unfilled slot instead
             // of unwinding (or aborting on a double panic) mid-join.
@@ -274,54 +254,20 @@ impl ParallelExecutor {
     /// steal across the whole layer.  The schedule collapses to exactly
     /// `⌈log₂ N⌉` layers regardless of `k` — this trades the paper's
     /// fixed-`K` synchronous-round model (kept in
-    /// [`multiply_string`](Self::multiply_string), whose round count the
+    /// [`try_multiply_string`](Self::try_multiply_string), whose round count the
     /// §4 analyses pin) for maximal host throughput.  Returns the product
     /// and the layer count.
     pub fn multiply_string_pool<S: Semiring>(
         &self,
         mats: &[Matrix<S>],
     ) -> Result<(Matrix<S>, u64), SdpError> {
-        if mats.is_empty() {
-            return Err(SdpError::EmptyMatrixString);
-        }
-        let pool = StealPool::new(self.k.max(1));
-        let mut layer: Vec<Matrix<S>> = mats.to_vec();
-        let mut layers = 0u64;
-        let mut task_base = 0u64;
-        while layer.len() > 1 {
-            layers += 1;
-            let t = layer.len() / 2;
-            let results = pool.run(
-                layer
-                    .chunks(2)
-                    .take(t)
-                    .map(|chunk| {
-                        let (a, b) = (&chunk[0], &chunk[1]);
-                        move || a.mul(b)
-                    })
-                    .collect(),
-            );
-            if let Some(slot) = results.iter().position(|p| p.is_none()) {
-                return Err(SdpError::TaskPanicked {
-                    task: task_base + slot as u64,
-                    attempts: 1,
-                });
-            }
-            task_base += t as u64;
-            let rest = layer.split_off(2 * t);
-            layer = results
-                .into_iter()
-                .map(|p| p.expect("slot filled"))
-                .chain(rest)
-                .collect();
-        }
-        Ok((layer.pop().expect("one matrix remains"), layers))
+        self.reduce(mats, usize::MAX, None)
     }
 
     /// Fault-tolerant divide-and-conquer execution.
     ///
     /// Runs the same synchronous-round schedule as
-    /// [`multiply_string`](Self::multiply_string), but consults a
+    /// [`try_multiply_string`](Self::try_multiply_string), but consults a
     /// [`FaultInjector`] for worker deaths (`Fault::KillWorker` by
     /// global task ordinal), contains every task panic — injected or
     /// real — with `catch_unwind`, and re-executes orphaned tasks in a
@@ -349,7 +295,7 @@ impl ParallelExecutor {
         }
         let mut stats = RecoveryStats {
             baseline_rounds: TreeScheduler
-                .simulate(mats.len() as u64, self.k as u64)
+                .try_simulate(mats.len() as u64, self.k as u64, &mut NullSink)?
                 .rounds,
             ..RecoveryStats::default()
         };
@@ -515,7 +461,7 @@ mod tests {
     #[test]
     fn fig6_jaggedness() {
         // The curve is not smooth: KT² is not monotone around the optimum.
-        let sweep = granularity_sweep(4096, 600);
+        let sweep = try_granularity_sweep(4096, 600).unwrap();
         let mut ups = 0;
         let mut downs = 0;
         for w in sweep.windows(2) {
@@ -554,7 +500,7 @@ mod tests {
         let n = 1u64 << 22;
         let lg = (n as f64).log2();
         for (c, limit) in [(0.5, 1.0 / 1.5), (1.0, 0.5), (2.0, 1.0 / 3.0)] {
-            let pu = pu_asymptotic(n, c);
+            let pu = try_pu_asymptotic(n, c).unwrap();
             let finite_pred = 1.0 / (1.0 + c * (1.0 - lg.log2() / lg));
             assert!(
                 pu >= limit - 0.01,
@@ -567,15 +513,15 @@ mod tests {
         }
         for c in [0.5, 1.0, 2.0] {
             let limit = 1.0 / (1.0 + c);
-            let gap_small = pu_asymptotic(1 << 12, c) - limit;
-            let gap_large = pu_asymptotic(1 << 22, c) - limit;
+            let gap_small = try_pu_asymptotic(1 << 12, c).unwrap() - limit;
+            let gap_large = try_pu_asymptotic(1 << 22, c).unwrap() - limit;
             assert!(
                 gap_large < gap_small,
                 "c={c}: gap did not shrink ({gap_small:.4} -> {gap_large:.4})"
             );
         }
         // c → 0 gives PU → 1.
-        assert!(pu_asymptotic(n, 0.01) > 0.95);
+        assert!(try_pu_asymptotic(n, 0.01).unwrap() > 0.95);
     }
 
     #[test]
@@ -596,7 +542,9 @@ mod tests {
     fn parallel_executor_matches_sequential() {
         for (n, m, k) in [(8usize, 4usize, 3usize), (5, 3, 2), (16, 2, 8), (3, 5, 1)] {
             let mats = rand_mats((n + m + k) as u64, n, m);
-            let (par, rounds) = ParallelExecutor::new(k).multiply_string(&mats);
+            let (par, rounds) = ParallelExecutor::new(k)
+                .try_multiply_string(&mats, None)
+                .unwrap();
             let seq = Matrix::string_product(&mats);
             assert_eq!(par, seq, "n={n} m={m} k={k}");
             assert!(rounds >= 1);
@@ -607,8 +555,10 @@ mod tests {
     fn parallel_rounds_match_greedy_schedule() {
         for (n, k) in [(16u64, 4u64), (9, 2), (32, 32)] {
             let mats = rand_mats(n + k, n as usize, 2);
-            let (_, rounds) = ParallelExecutor::new(k as usize).multiply_string(&mats);
-            let sched = TreeScheduler.simulate(n, k);
+            let (_, rounds) = ParallelExecutor::new(k as usize)
+                .try_multiply_string(&mats, None)
+                .unwrap();
+            let sched = TreeScheduler.try_simulate(n, k, &mut NullSink).unwrap();
             assert_eq!(rounds, sched.rounds, "n={n} k={k}");
         }
     }
@@ -646,7 +596,10 @@ mod tests {
     #[test]
     fn chrome_instrumented_run_matches_and_has_spans() {
         let mats = rand_mats(42, 8, 4);
-        let (par, rounds, trace) = ParallelExecutor::new(3).multiply_string_chrome(&mats);
+        let mut trace = ChromeTrace::new();
+        let (par, rounds) = ParallelExecutor::new(3)
+            .try_multiply_string(&mats, Some(&mut trace))
+            .unwrap();
         assert_eq!(par, Matrix::string_product(&mats));
         // One span per product: 8 → 5 → 3 → 2 → 1 under k=3 is 7 products.
         assert_eq!(trace.spans.len(), 7);
@@ -667,7 +620,9 @@ mod tests {
     #[test]
     fn single_matrix_needs_zero_rounds() {
         let mats = rand_mats(1, 1, 3);
-        let (prod, rounds) = ParallelExecutor::new(4).multiply_string(&mats);
+        let (prod, rounds) = ParallelExecutor::new(4)
+            .try_multiply_string(&mats, None)
+            .unwrap();
         assert_eq!(prod, mats[0]);
         assert_eq!(rounds, 0);
     }
@@ -676,7 +631,7 @@ mod tests {
     fn empty_string_is_a_typed_error() {
         let mats: Vec<Matrix<MinPlus>> = Vec::new();
         assert!(matches!(
-            ParallelExecutor::new(2).try_multiply_string(&mats),
+            ParallelExecutor::new(2).try_multiply_string(&mats, None),
             Err(SdpError::EmptyMatrixString)
         ));
         assert!(matches!(
@@ -694,7 +649,7 @@ mod tests {
             Matrix::from_fn(2, 2, |_, _| MinPlus::from(1)),
             Matrix::from_fn(3, 3, |_, _| MinPlus::from(1)),
         ];
-        let got = ParallelExecutor::new(2).try_multiply_string(&mats);
+        let got = ParallelExecutor::new(2).try_multiply_string(&mats, None);
         assert!(matches!(
             got,
             Err(SdpError::TaskPanicked {
@@ -731,10 +686,9 @@ mod tests {
     #[test]
     fn ft_with_no_faults_matches_plain_run() {
         use sdp_fault::NoFaults;
-        use sdp_trace::NullSink;
         let mats = rand_mats(9, 8, 3);
         let exec = ParallelExecutor::new(3);
-        let (plain, rounds) = exec.multiply_string(&mats);
+        let (plain, rounds) = exec.try_multiply_string(&mats, None).unwrap();
         let (ft, stats) = exec
             .multiply_string_ft(&mats, &mut NoFaults, &mut NullSink, 0)
             .expect("fault-free run");
@@ -747,7 +701,6 @@ mod tests {
 
     #[test]
     fn persistent_death_exhausts_retries() {
-        use sdp_trace::NullSink;
         /// Kills task 0 on every attempt, forever.
         struct AlwaysKillTask0;
         impl FaultInjector for AlwaysKillTask0 {

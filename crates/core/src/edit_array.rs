@@ -135,42 +135,17 @@ pub struct EditRun {
     pub stats: Stats,
 }
 
-/// Computes Levenshtein distance on the wavefront mesh.
+/// Computes Levenshtein distance on the wavefront mesh.  PE indices in
+/// `sink`'s events are row-major over the `|a| × |b|` mesh.
 ///
 /// Empty operands short-circuit to the other operand's length (a 0-sized
-/// mesh cannot be built).
-pub fn edit_distance_mesh(a: &[u8], b: &[u8]) -> EditRun {
-    edit_distance_mesh_traced(a, b, &mut NullSink)
-}
-
-/// [`edit_distance_mesh`] with an event sink; PE indices in the emitted
-/// events are row-major over the `|a| × |b|` mesh.
-pub fn edit_distance_mesh_traced<S: TraceSink>(a: &[u8], b: &[u8], sink: &mut S) -> EditRun {
-    try_edit_distance_mesh_traced(a, b, sink).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`edit_distance_mesh`].
-pub fn try_edit_distance_mesh(a: &[u8], b: &[u8]) -> Result<EditRun, SdpError> {
-    try_edit_distance_mesh_traced(a, b, &mut NullSink)
-}
-
-/// Non-panicking [`edit_distance_mesh_traced`].
-pub fn try_edit_distance_mesh_traced<S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    sink: &mut S,
-) -> Result<EditRun, SdpError> {
-    edit_distance_fault_traced(a, b, &mut NoFaults, sink)
-}
-
-/// [`edit_distance_mesh_traced`] under fault injection.  Both mesh word
-/// types (`u64` east, `(u64, u64)` south) carry the cell value in the
-/// leading position, so injected faults perturb `D[i][j]` while the
-/// piggybacked west value and the wavefront timing stay intact: a faulty
-/// run finishes in the same `|a| + |b| − 1` cycles with a (possibly)
-/// wrong distance — exactly the silent-data-corruption model the
-/// recovery wrappers detect.
-pub fn edit_distance_fault_traced<F: FaultInjector, S: TraceSink>(
+/// mesh cannot be built).  Both mesh word types (`u64` east, `(u64, u64)`
+/// south) carry the cell value in the leading position, so `injector`'s
+/// faults perturb `D[i][j]` while the piggybacked west value and the
+/// wavefront timing stay intact: a faulty run finishes in the same
+/// `|a| + |b| − 1` cycles with a (possibly) wrong distance — exactly the
+/// silent-data-corruption model the recovery wrappers detect.
+pub fn try_edit_distance_mesh<F: FaultInjector, S: TraceSink>(
     a: &[u8],
     b: &[u8],
     injector: &mut F,
@@ -205,7 +180,7 @@ pub fn edit_distance_fault_traced<F: FaultInjector, S: TraceSink>(
         // Boundary injections arrive exactly on the wavefront:
         // cell (r, 0) computes at cycle r and needs D[r][-1] = r + 1;
         // cell (0, c) needs (D[-1][c], D[-1][c-1]) = (c + 1, c).
-        let (east, south) = mesh.cycle_fault_traced(
+        let (east, south) = mesh.cycle(
             |r| (r as u64 == t).then(|| r as u64 + 1),
             |c| (c as u64 == t).then(|| (c as u64 + 1, c as u64)),
             |_, _| (),
@@ -260,7 +235,7 @@ pub fn edit_distance_mesh_batch(pairs: &[(&[u8], &[u8])]) -> Result<BatchEditRun
 }
 
 /// [`edit_distance_mesh_batch`] with an event sink.  A batch of one
-/// emits exactly the event stream of [`edit_distance_mesh_traced`].
+/// emits exactly the event stream of [`try_edit_distance_mesh`].
 pub fn edit_distance_mesh_batch_traced<S: TraceSink>(
     pairs: &[(&[u8], &[u8])],
     sink: &mut S,
@@ -301,7 +276,7 @@ pub fn edit_distance_mesh_batch_traced<S: TraceSink>(
     for t in 0..total {
         // Instance `inst`'s boundary values arrive on its wavefront:
         // cell (r, 0) fires instance `inst` at cycle r + inst.
-        let (east, _south) = mesh.cycle_traced(
+        let (east, _south) = mesh.cycle(
             |r| {
                 let inst = t as i64 - r as i64;
                 (0..bn as i64).contains(&inst).then(|| r as u64 + 1)
@@ -313,6 +288,7 @@ pub fn edit_distance_mesh_batch_traced<S: TraceSink>(
                     .then(|| (c as u64 + 1, c as u64))
             },
             |_, _| (),
+            &mut NoFaults,
             sink,
         );
         // The apex cell fires once per instance, in batch order, and its
@@ -351,17 +327,52 @@ mod tests {
 
     #[test]
     fn known_distances() {
-        assert_eq!(edit_distance_mesh(b"kitten", b"sitting").distance, 3);
-        assert_eq!(edit_distance_mesh(b"flaw", b"lawn").distance, 2);
-        assert_eq!(edit_distance_mesh(b"abc", b"abc").distance, 0);
-        assert_eq!(edit_distance_mesh(b"a", b"b").distance, 1);
+        assert_eq!(
+            try_edit_distance_mesh(b"kitten", b"sitting", &mut NoFaults, &mut NullSink)
+                .unwrap()
+                .distance,
+            3
+        );
+        assert_eq!(
+            try_edit_distance_mesh(b"flaw", b"lawn", &mut NoFaults, &mut NullSink)
+                .unwrap()
+                .distance,
+            2
+        );
+        assert_eq!(
+            try_edit_distance_mesh(b"abc", b"abc", &mut NoFaults, &mut NullSink)
+                .unwrap()
+                .distance,
+            0
+        );
+        assert_eq!(
+            try_edit_distance_mesh(b"a", b"b", &mut NoFaults, &mut NullSink)
+                .unwrap()
+                .distance,
+            1
+        );
     }
 
     #[test]
     fn empty_operands() {
-        assert_eq!(edit_distance_mesh(b"", b"abc").distance, 3);
-        assert_eq!(edit_distance_mesh(b"ab", b"").distance, 2);
-        assert_eq!(edit_distance_mesh(b"", b"").distance, 0);
+        assert_eq!(
+            try_edit_distance_mesh(b"", b"abc", &mut NoFaults, &mut NullSink)
+                .unwrap()
+                .distance,
+            3
+        );
+        assert_eq!(
+            try_edit_distance_mesh(b"ab", b"", &mut NoFaults, &mut NullSink)
+                .unwrap()
+                .distance,
+            2
+        );
+        assert_eq!(
+            try_edit_distance_mesh(b"", b"", &mut NoFaults, &mut NullSink)
+                .unwrap()
+                .distance,
+            0
+        );
     }
 
     #[test]
@@ -369,7 +380,7 @@ mod tests {
         // Regression: the short-circuit path used to claim one phantom
         // PE (Stats::new(1)), skewing any aggregate PE accounting.
         for (a, b) in [(&b""[..], &b"abc"[..]), (b"ab", b""), (b"", b"")] {
-            let run = edit_distance_mesh(a, b);
+            let run = try_edit_distance_mesh(a, b, &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(run.stats.num_pes(), 0);
             assert_eq!(run.stats.cycles(), 0);
             assert_eq!(run.stats.utilization().overall, 0.0);
@@ -379,9 +390,11 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced() {
         use sdp_trace::CountingSink;
-        let plain = edit_distance_mesh(b"kitten", b"sitting");
+        let plain =
+            try_edit_distance_mesh(b"kitten", b"sitting", &mut NoFaults, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
-        let traced = edit_distance_mesh_traced(b"kitten", b"sitting", &mut sink);
+        let traced =
+            try_edit_distance_mesh(b"kitten", b"sitting", &mut NoFaults, &mut sink).unwrap();
         assert_eq!(traced.distance, plain.distance);
         assert_eq!(traced.cycles, plain.cycles);
         assert_eq!(sink.cycles, plain.cycles);
@@ -394,7 +407,8 @@ mod tests {
 
     #[test]
     fn cycles_are_p_plus_q_minus_1() {
-        let run = edit_distance_mesh(b"kitten", b"sitting");
+        let run =
+            try_edit_distance_mesh(b"kitten", b"sitting", &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(run.cycles, 6 + 7 - 1);
     }
 
@@ -414,7 +428,9 @@ mod tests {
         for case in 0..30 {
             let a = next(1 + case % 9);
             let b = next(1 + (case * 7) % 11);
-            let mesh = edit_distance_mesh(&a, &b).distance;
+            let mesh = try_edit_distance_mesh(&a, &b, &mut NoFaults, &mut NullSink)
+                .unwrap()
+                .distance;
             let seq = edit_distance_seq(&a, &b);
             assert_eq!(mesh, seq, "a={a:?} b={b:?}");
         }
@@ -422,7 +438,7 @@ mod tests {
 
     #[test]
     fn each_cell_computes_exactly_once() {
-        let run = edit_distance_mesh(b"abcd", b"xyz");
+        let run = try_edit_distance_mesh(b"abcd", b"xyz", &mut NoFaults, &mut NullSink).unwrap();
         let busy: u64 = (0..12).map(|i| run.stats.busy(i)).sum();
         assert_eq!(busy, 12);
     }
@@ -430,10 +446,11 @@ mod tests {
     #[test]
     fn no_faults_run_matches_plain() {
         use sdp_trace::CountingSink;
-        let plain = edit_distance_mesh(b"kitten", b"sitting");
+        let plain =
+            try_edit_distance_mesh(b"kitten", b"sitting", &mut NoFaults, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
         let run =
-            edit_distance_fault_traced(b"kitten", b"sitting", &mut sdp_fault::NoFaults, &mut sink)
+            try_edit_distance_mesh(b"kitten", b"sitting", &mut sdp_fault::NoFaults, &mut sink)
                 .unwrap();
         assert_eq!(run.distance, plain.distance);
         assert_eq!(run.cycles, plain.cycles);
@@ -445,7 +462,8 @@ mod tests {
     fn stuck_at_pe_corrupts_distance_without_stalling() {
         use sdp_fault::{Fault, FaultPlan, PlanInjector};
         use sdp_trace::CountingSink;
-        let clean = edit_distance_mesh(b"kitten", b"sitting");
+        let clean =
+            try_edit_distance_mesh(b"kitten", b"sitting", &mut NoFaults, &mut NullSink).unwrap();
         // Pin the top-left cell's output to 40: every downstream cell
         // inherits the inflated prefix cost.
         let plan = FaultPlan::new().with(Fault::StuckAt {
@@ -455,8 +473,7 @@ mod tests {
         });
         let mut inj = PlanInjector::new(plan);
         let mut sink = CountingSink::default();
-        let faulty =
-            edit_distance_fault_traced(b"kitten", b"sitting", &mut inj, &mut sink).unwrap();
+        let faulty = try_edit_distance_mesh(b"kitten", b"sitting", &mut inj, &mut sink).unwrap();
         assert_ne!(faulty.distance, clean.distance);
         // Faults degrade values, never the wavefront schedule.
         assert_eq!(faulty.cycles, clean.cycles);
@@ -481,7 +498,9 @@ mod tests {
         for (t, (a, b)) in pairs.iter().enumerate() {
             assert_eq!(
                 batch.distances[t],
-                edit_distance_mesh(a, b).distance,
+                try_edit_distance_mesh(a, b, &mut NoFaults, &mut NullSink)
+                    .unwrap()
+                    .distance,
                 "t={t}"
             );
             assert_eq!(batch.distances[t], edit_distance_seq(a, b), "t={t}");
@@ -493,7 +512,8 @@ mod tests {
     fn batch_of_one_emits_single_run_event_stream() {
         use sdp_trace::RecordingSink;
         let mut single_sink = RecordingSink::default();
-        let single = edit_distance_mesh_traced(b"kitten", b"sitting", &mut single_sink);
+        let single =
+            try_edit_distance_mesh(b"kitten", b"sitting", &mut NoFaults, &mut single_sink).unwrap();
         let mut batch_sink = RecordingSink::default();
         let batch =
             edit_distance_mesh_batch_traced(&[(b"kitten", b"sitting")], &mut batch_sink).unwrap();
@@ -542,7 +562,7 @@ mod tests {
         let n = 6;
         let a = vec![b'a'; n];
         let b = vec![b'b'; n];
-        let run = edit_distance_mesh(&a, &b);
+        let run = try_edit_distance_mesh(&a, &b, &mut NoFaults, &mut NullSink).unwrap();
         let u = run.stats.utilization().overall;
         let expect = 1.0 / (2 * n - 1) as f64;
         assert!((u - expect).abs() < 1e-9, "{u} vs {expect}");

@@ -31,7 +31,7 @@
 //! drain) — pinned by `tests/paper_claims.rs`.
 //!
 //! Each PE also keeps one take/leave bit per item (the traceback
-//! memory); [`knapsack_array_recovered`] walks those bits host-side to
+//! memory); [`try_knapsack_array_recovered`] walks those bits host-side to
 //! recover an optimal item set.
 
 use sdp_fault::{FaultInjector, FaultyWord, NoFaults, PeFault, SdpError};
@@ -308,7 +308,7 @@ fn knapsack_core<F: FaultInjector, S: TraceSink>(
         } else {
             None
         };
-        let out = arr.cycle_fault_traced(head, |_| (), |_| (), injector, sink);
+        let out = arr.cycle(head, |_| (), |_| (), injector, sink);
         match out {
             Some(KnapWord::Flush) => {
                 rows.push(Vec::with_capacity(c + 1));
@@ -344,98 +344,59 @@ fn knapsack_core<F: FaultInjector, S: TraceSink>(
     ))
 }
 
-fn empty_run(capacity: u64) -> KnapsackRun {
-    KnapsackRun {
-        best: 0,
-        per_capacity: vec![0; capacity as usize + 1],
-        cycles: 0,
-        stats: Stats::new(0),
+/// One instance through [`knapsack_core`], plus the PE decision bits.
+/// An empty item list builds no array: the all-zero row, zero PEs.
+fn single_core<F: FaultInjector, S: TraceSink>(
+    items: &[KnapsackItem],
+    capacity: u64,
+    injector: &mut F,
+    sink: &mut S,
+) -> Result<(KnapsackRun, Vec<Vec<bool>>), SdpError> {
+    if items.is_empty() {
+        let run = KnapsackRun {
+            best: 0,
+            per_capacity: vec![0; capacity as usize + 1],
+            cycles: 0,
+            stats: Stats::new(0),
+        };
+        return Ok((run, Vec::new()));
     }
+    let (batch, decisions) = knapsack_core(&[items], capacity, injector, sink)?;
+    let run = KnapsackRun {
+        best: batch.bests[0],
+        per_capacity: batch.per_capacity.into_iter().next().expect("one instance"),
+        cycles: batch.cycles,
+        stats: batch.stats,
+    };
+    Ok((run, decisions))
 }
 
-/// Solves one 0/1 knapsack instance on the array.
+/// Solves one 0/1 knapsack instance on the array; PE `c` in `sink`'s
+/// events is the capacity-`c` element.
 ///
 /// An empty item list short-circuits to the all-zero row (no array is
-/// built, zero PEs reported).
-pub fn knapsack_array(items: &[KnapsackItem], capacity: u64) -> KnapsackRun {
-    knapsack_array_traced(items, capacity, &mut NullSink)
-}
-
-/// [`knapsack_array`] with an event sink; PE `c` is the capacity-`c`
-/// element.
-pub fn knapsack_array_traced<S: TraceSink>(
-    items: &[KnapsackItem],
-    capacity: u64,
-    sink: &mut S,
-) -> KnapsackRun {
-    try_knapsack_array_traced(items, capacity, sink).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`knapsack_array`].
-pub fn try_knapsack_array(items: &[KnapsackItem], capacity: u64) -> Result<KnapsackRun, SdpError> {
-    try_knapsack_array_traced(items, capacity, &mut NullSink)
-}
-
-/// Non-panicking [`knapsack_array_traced`].
-pub fn try_knapsack_array_traced<S: TraceSink>(
-    items: &[KnapsackItem],
-    capacity: u64,
-    sink: &mut S,
-) -> Result<KnapsackRun, SdpError> {
-    knapsack_fault_traced(items, capacity, &mut NoFaults, sink)
-}
-
-/// [`knapsack_array_traced`] under fault injection: faults corrupt
-/// item/train values (silent data corruption), never weights or the
-/// flush sweep, so the schedule and the drain stay intact.
-pub fn knapsack_fault_traced<F: FaultInjector, S: TraceSink>(
+/// built, zero PEs reported).  `injector`'s faults corrupt item/train
+/// values (silent data corruption), never weights or the flush sweep,
+/// so the schedule and the drain stay intact.
+pub fn try_knapsack_array<F: FaultInjector, S: TraceSink>(
     items: &[KnapsackItem],
     capacity: u64,
     injector: &mut F,
     sink: &mut S,
 ) -> Result<KnapsackRun, SdpError> {
-    if items.is_empty() {
-        return Ok(empty_run(capacity));
-    }
-    let (batch, _) = knapsack_core(&[items], capacity, injector, sink)?;
-    Ok(KnapsackRun {
-        best: batch.bests[0],
-        per_capacity: batch.per_capacity.into_iter().next().expect("one instance"),
-        cycles: batch.cycles,
-        stats: batch.stats,
-    })
+    Ok(single_core(items, capacity, injector, sink)?.0)
 }
 
-/// [`knapsack_array`] plus item-set recovery from the PEs' traceback
-/// memory: returns the run and the optimal item indices (ascending).
-/// Ties break toward *leaving* an item, so the recovered set is the
-/// same one the reference solver derives.
-pub fn knapsack_array_recovered(
-    items: &[KnapsackItem],
-    capacity: u64,
-) -> (KnapsackRun, Vec<usize>) {
-    try_knapsack_array_recovered(items, capacity).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`knapsack_array_recovered`].
+/// A fault-free [`try_knapsack_array`] run plus item-set recovery from
+/// the PEs' traceback memory: returns the run and the optimal item
+/// indices (ascending).  Ties break toward *leaving* an item, so the
+/// recovered set is the same one the reference solver derives.
 pub fn try_knapsack_array_recovered(
     items: &[KnapsackItem],
     capacity: u64,
 ) -> Result<(KnapsackRun, Vec<usize>), SdpError> {
-    if items.is_empty() {
-        return Ok((empty_run(capacity), Vec::new()));
-    }
-    let (batch, decisions) = knapsack_core(&[items], capacity, &mut NoFaults, &mut NullSink)?;
-    let set = walk_decisions(items, capacity, &decisions, 0);
-    Ok((
-        KnapsackRun {
-            best: batch.bests[0],
-            per_capacity: batch.per_capacity.into_iter().next().expect("one instance"),
-            cycles: batch.cycles,
-            stats: batch.stats,
-        },
-        set,
-    ))
+    let (run, decisions) = single_core(items, capacity, &mut NoFaults, &mut NullSink)?;
+    Ok((run, walk_decisions(items, capacity, &decisions, 0)))
 }
 
 /// Walks the per-PE take/leave bits backwards from full capacity.
@@ -516,14 +477,14 @@ mod tests {
     fn known_instances() {
         // The EPS-Knapsack classroom instance.
         let its = items(&[(1, 1), (3, 4), (4, 5), (5, 7)]);
-        let run = knapsack_array(&its, 7);
+        let run = try_knapsack_array(&its, 7, &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(run.best, 9); // items (3,4) + (4,5)
         assert_eq!(run.per_capacity, knapsack_seq(&its, 7));
     }
 
     #[test]
     fn empty_items_short_circuit() {
-        let run = knapsack_array(&[], 5);
+        let run = try_knapsack_array(&[], 5, &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(run.best, 0);
         assert_eq!(run.per_capacity, vec![0; 6]);
         assert_eq!(run.cycles, 0);
@@ -533,10 +494,17 @@ mod tests {
     #[test]
     fn zero_capacity_and_zero_weight() {
         // Capacity 0 still takes zero-weight items.
-        let run = knapsack_array(&items(&[(0, 3), (2, 9), (0, 4)]), 0);
+        let run = try_knapsack_array(
+            &items(&[(0, 3), (2, 9), (0, 4)]),
+            0,
+            &mut NoFaults,
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(run.best, 7);
         // Oversized items are left everywhere.
-        let run = knapsack_array(&items(&[(10, 100)]), 4);
+        let run =
+            try_knapsack_array(&items(&[(10, 100)]), 4, &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(run.best, 0);
     }
 
@@ -555,7 +523,7 @@ mod tests {
             let its: Vec<KnapsackItem> = (0..n)
                 .map(|_| KnapsackItem::new(next() % 6, next() % 10))
                 .collect();
-            let run = knapsack_array(&its, capacity);
+            let run = try_knapsack_array(&its, capacity, &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(
                 run.per_capacity,
                 knapsack_seq(&its, capacity),
@@ -572,7 +540,7 @@ mod tests {
             (&[(0, 5), (1, 1)], 3),
         ] {
             let its = items(raw);
-            let run = knapsack_array(&its, capacity);
+            let run = try_knapsack_array(&its, capacity, &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(run.cycles, knapsack_cycle_count(&its, capacity));
             let w: u64 = its.iter().map(|it| it.weight).sum();
             assert_eq!(
@@ -586,7 +554,7 @@ mod tests {
     #[test]
     fn every_pe_decides_every_item() {
         let its = items(&[(1, 1), (3, 4), (4, 5), (5, 7)]);
-        let run = knapsack_array(&its, 7);
+        let run = try_knapsack_array(&its, 7, &mut NoFaults, &mut NullSink).unwrap();
         for pe in 0..8 {
             assert_eq!(run.stats.busy(pe), 4, "PE {pe} decides each item once");
         }
@@ -595,7 +563,7 @@ mod tests {
     #[test]
     fn recovered_set_is_optimal_and_feasible() {
         let its = items(&[(1, 1), (3, 4), (4, 5), (5, 7)]);
-        let (run, set) = knapsack_array_recovered(&its, 7);
+        let (run, set) = try_knapsack_array_recovered(&its, 7).unwrap();
         assert_eq!(set, vec![1, 2]);
         let weight: u64 = set.iter().map(|&i| its[i].weight).sum();
         let value: u64 = set.iter().map(|&i| its[i].value).sum();
@@ -610,7 +578,7 @@ mod tests {
         let c = items(&[(1, 9)]);
         let batch = knapsack_array_batch(&[&a, &b, &c], 7).unwrap();
         for (t, its) in [&a, &b, &c].iter().enumerate() {
-            let single = knapsack_array(its, 7);
+            let single = try_knapsack_array(its, 7, &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(batch.bests[t], single.best, "t={t}");
             assert_eq!(batch.per_capacity[t], single.per_capacity, "t={t}");
         }
@@ -624,9 +592,9 @@ mod tests {
     fn traced_matches_untraced() {
         use sdp_trace::CountingSink;
         let its = items(&[(1, 1), (3, 4), (4, 5)]);
-        let plain = knapsack_array(&its, 6);
+        let plain = try_knapsack_array(&its, 6, &mut NoFaults, &mut NullSink).unwrap();
         let mut sink = CountingSink::default();
-        let traced = knapsack_array_traced(&its, 6, &mut sink);
+        let traced = try_knapsack_array(&its, 6, &mut NoFaults, &mut sink).unwrap();
         assert_eq!(traced, plain);
         assert_eq!(sink.cycles, plain.cycles);
         assert_eq!(sink.faults_injected, 0);
@@ -637,7 +605,7 @@ mod tests {
         use sdp_fault::{Fault, FaultPlan, PlanInjector};
         use sdp_trace::CountingSink;
         let its = items(&[(1, 1), (3, 4), (4, 5), (5, 7)]);
-        let clean = knapsack_array(&its, 7);
+        let clean = try_knapsack_array(&its, 7, &mut NoFaults, &mut NullSink).unwrap();
         // Permanently stick PE 7's payloads high: every value it emits
         // is forged (silent data corruption), but weights and the flush
         // sweep are routing state — the drained row still has C+1
@@ -649,7 +617,7 @@ mod tests {
         });
         let mut inj = PlanInjector::new(plan);
         let mut sink = CountingSink::default();
-        let faulty = knapsack_fault_traced(&its, 7, &mut inj, &mut sink).unwrap();
+        let faulty = try_knapsack_array(&its, 7, &mut inj, &mut sink).unwrap();
         assert_eq!(faulty.cycles, clean.cycles);
         assert_eq!(faulty.per_capacity.len(), clean.per_capacity.len());
         assert!(sink.faults_injected > 0);

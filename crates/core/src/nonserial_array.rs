@@ -14,7 +14,9 @@
 
 use crate::design1::Design1Array;
 use sdp_andor::nonserial::TernaryChain;
+use sdp_fault::NoFaults;
 use sdp_semiring::Cost;
+use sdp_trace::NullSink;
 
 /// Outcome of running a ternary chain through the grouping + Design 1
 /// pipeline, with the §6.1 cost/parallelism comparison attached.
@@ -60,7 +62,9 @@ pub fn run_grouped(chain: &TernaryChain) -> GroupedRun {
         "grouping nonuniform domains needs per-stage arrays"
     );
     let m = serial.stage_size(0);
-    let d1 = Design1Array::new(m).run(serial.matrix_string());
+    let d1 = Design1Array::new(m)
+        .try_run(serial.matrix_string(), &mut NoFaults, &mut NullSink)
+        .expect("grouping yields a uniform, well-formed string");
     let cost = d1.optimum();
     let (elim_cost, elimination_steps) = chain.eliminate();
     assert_eq!(cost, elim_cost, "grouped array diverged from elimination");

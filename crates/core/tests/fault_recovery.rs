@@ -13,16 +13,15 @@
 //!    stuck-at) the plan contains.
 
 use proptest::prelude::*;
-use sdp_core::edit_array::{
-    edit_distance_fault_traced, edit_distance_seq, try_edit_distance_mesh_traced,
-};
+use sdp_core::edit_array::{edit_distance_seq, try_edit_distance_mesh};
 use sdp_core::matmul_array::MatmulArray;
 use sdp_core::resilient::{design1_tmr, design2_tmr, edit_distance_tmr, matmul_tmr};
 use sdp_core::{Design1Array, Design2Array};
+use sdp_fault::NoFaults;
 use sdp_fault::{Fault, FaultPlan, PlanInjector};
 use sdp_multistage::generate;
 use sdp_semiring::{Cost, Matrix, MinPlus};
-use sdp_trace::RecordingSink;
+use sdp_trace::{NullSink, RecordingSink};
 
 fn empty_injector() -> PlanInjector {
     PlanInjector::new(FaultPlan::new())
@@ -51,11 +50,11 @@ proptest! {
         let array = Design1Array::new(m);
         let mut clean_sink = RecordingSink::default();
         let clean = array
-            .try_run_traced(g.matrix_string(), &mut clean_sink)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut clean_sink)
             .unwrap();
         let mut faulty_sink = RecordingSink::default();
         let injected = array
-            .run_fault_traced(g.matrix_string(), &mut empty_injector(), &mut faulty_sink)
+            .try_run(g.matrix_string(), &mut empty_injector(), &mut faulty_sink)
             .unwrap();
         prop_assert_eq!(injected.values, clean.values);
         prop_assert_eq!(injected.cycles, clean.cycles);
@@ -77,10 +76,10 @@ proptest! {
         let a = Matrix::<MinPlus>::from_fn(p, q, |_, _| MinPlus(Cost::from(next())));
         let b = Matrix::<MinPlus>::from_fn(q, r, |_, _| MinPlus(Cost::from(next())));
         let mut clean_sink = RecordingSink::default();
-        let clean = MatmulArray::try_multiply_traced(&a, &b, &mut clean_sink).unwrap();
+        let clean = MatmulArray::try_multiply(&a, &b, &mut NoFaults, &mut clean_sink).unwrap();
         let mut faulty_sink = RecordingSink::default();
         let injected =
-            MatmulArray::multiply_fault_traced(&a, &b, &mut empty_injector(), &mut faulty_sink)
+            MatmulArray::try_multiply(&a, &b, &mut empty_injector(), &mut faulty_sink)
                 .unwrap();
         prop_assert_eq!(injected.product, clean.product);
         prop_assert_eq!(injected.cycles, clean.cycles);
@@ -95,10 +94,10 @@ proptest! {
         let a = bytes(seed, la);
         let b = bytes(seed.wrapping_mul(31), lb);
         let mut clean_sink = RecordingSink::default();
-        let clean = try_edit_distance_mesh_traced(&a, &b, &mut clean_sink).unwrap();
+        let clean = try_edit_distance_mesh(&a, &b, &mut NoFaults, &mut clean_sink).unwrap();
         let mut faulty_sink = RecordingSink::default();
         let injected =
-            edit_distance_fault_traced(&a, &b, &mut empty_injector(), &mut faulty_sink).unwrap();
+            try_edit_distance_mesh(&a, &b, &mut empty_injector(), &mut faulty_sink).unwrap();
         prop_assert_eq!(injected.distance, clean.distance);
         prop_assert_eq!(injected.distance, edit_distance_seq(&a, &b));
         prop_assert_eq!(injected.cycles, clean.cycles);
@@ -114,7 +113,7 @@ proptest! {
     ) {
         let g = generate::random_single_source_sink(seed, stages, m, 0, 100);
         let array = Design1Array::new(m);
-        let clean = array.run(g.matrix_string());
+        let clean = array.try_run(g.matrix_string(), &mut NoFaults, &mut NullSink).unwrap();
         let fault = if transient == 1 {
             Fault::TransientFlip { pe: pe % (m as u32 + 1), cycle, bit }
         } else {
@@ -135,7 +134,7 @@ proptest! {
     ) {
         let g = generate::random_uniform(seed, stages, m, 0, 60);
         let array = Design2Array::new(m);
-        let clean = array.try_run(g.matrix_string()).unwrap();
+        let clean = array.try_run(g.matrix_string(), &mut NoFaults, &mut NullSink).unwrap();
         let mut inj = PlanInjector::new(FaultPlan::new().with(Fault::StuckAt {
             pe: pe % m as u32,
             cycle,
@@ -160,7 +159,7 @@ proptest! {
         };
         let a = Matrix::<MinPlus>::from_fn(p, q, |_, _| MinPlus(Cost::from(next())));
         let b = Matrix::<MinPlus>::from_fn(q, r, |_, _| MinPlus(Cost::from(next())));
-        let clean = MatmulArray::multiply(&a, &b);
+        let clean = MatmulArray::try_multiply(&a, &b, &mut NoFaults, &mut NullSink).unwrap();
         let mut inj = PlanInjector::new(FaultPlan::new().with(Fault::StuckAt {
             pe: pe % (p * r) as u32,
             cycle,

@@ -7,9 +7,11 @@ use sdp_core::chain_array::{simulate_chain_array, ChainMapping};
 use sdp_core::dnc;
 use sdp_core::gkt::GktArray;
 use sdp_core::{Design1Array, Design2Array, Design3Array};
+use sdp_fault::NoFaults;
 use sdp_multistage::{generate, solve};
 use sdp_semiring::{Cost, Matrix};
-use sdp_systolic::scheduler::{eq29_time, TreeScheduler};
+use sdp_systolic::scheduler::{try_eq29_time, TreeScheduler};
+use sdp_trace::NullSink;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -19,7 +21,7 @@ proptest! {
         seed in 0u64..10_000, stages in 3usize..9, m in 1usize..7
     ) {
         let g = generate::random_single_source_sink(seed, stages, m, 0, 100);
-        let res = Design1Array::new(m).run(g.matrix_string());
+        let res = Design1Array::new(m).try_run(g.matrix_string(), &mut NoFaults, &mut NullSink).unwrap();
         prop_assert_eq!(res.optimum(), solve::forward_dp(&g).cost);
     }
 
@@ -28,8 +30,8 @@ proptest! {
         seed in 0u64..10_000, stages in 2usize..8, m in 1usize..6
     ) {
         let g = generate::random_uniform(seed, stages, m, 0, 60);
-        let d1 = Design1Array::new(m).run(g.matrix_string());
-        let d2 = Design2Array::new(m).run(g.matrix_string());
+        let d1 = Design1Array::new(m).try_run(g.matrix_string(), &mut NoFaults, &mut NullSink).unwrap();
+        let d2 = Design2Array::new(m).try_run(g.matrix_string(), &mut NoFaults, &mut NullSink).unwrap();
         prop_assert_eq!(d1.values, d2.values);
     }
 
@@ -40,7 +42,7 @@ proptest! {
         let g = generate::node_value_random(
             seed, n, m, Box::new(sdp_multistage::node_value::AbsDiff), -40, 40,
         );
-        let res = Design3Array::new(m).run(&g);
+        let res = Design3Array::new(m).try_run(&g, &mut NoFaults, &mut NullSink).unwrap();
         prop_assert_eq!(res.cycles, ((n + 1) * m) as u64);
         let ms = g.to_multistage();
         prop_assert_eq!(res.cost, solve::backward_dp(&ms).cost);
@@ -54,7 +56,7 @@ proptest! {
         let g = generate::node_value_random(
             seed, n, m, Box::new(sdp_multistage::node_value::SquaredDiff), -10, 10,
         );
-        let res = Design3Array::new(m).run(&g);
+        let res = Design3Array::new(m).try_run(&g, &mut NoFaults, &mut NullSink).unwrap();
         let dp = solve::backward_dp(&g.to_multistage());
         prop_assert_eq!(&res.finals, &dp.value[n - 1]);
     }
@@ -86,9 +88,9 @@ proptest! {
         seed in 0u64..5_000, n in 1usize..12, m in 1usize..5, k in 1usize..6
     ) {
         let g = generate::random_uniform(seed, n + 1, m, 0, 80);
-        let (tree, rounds) = dnc::ParallelExecutor::new(k).multiply_string(g.matrix_string());
+        let (tree, rounds) = dnc::ParallelExecutor::new(k).try_multiply_string(g.matrix_string(), None).unwrap();
         prop_assert_eq!(tree, Matrix::string_product(g.matrix_string()));
-        prop_assert_eq!(rounds, TreeScheduler.simulate(n as u64, k as u64).rounds);
+        prop_assert_eq!(rounds, TreeScheduler.try_simulate(n as u64, k as u64, &mut NullSink).unwrap().rounds);
     }
 
     #[test]
@@ -97,8 +99,8 @@ proptest! {
         // and Eq. 29 stay within a few rounds of each other; with K
         // oversized (more arrays than pairs) Eq. 29's wind-down term
         // log2(N+K-1) overcharges, so only the one-sided bound holds.
-        let sim = TreeScheduler.simulate(n, k).rounds;
-        let formula = eq29_time(n, k);
+        let sim = TreeScheduler.try_simulate(n, k, &mut NullSink).unwrap().rounds;
+        let formula = try_eq29_time(n, k).unwrap();
         if 2 * k <= n {
             prop_assert!(sim.abs_diff(formula) <= 3, "n={n} k={k}: {sim} vs {formula}");
         } else {
@@ -111,7 +113,7 @@ proptest! {
         seed in 0u64..2_000, stages in 3usize..7, m in 1usize..5
     ) {
         let g = generate::random_single_source_sink(seed, stages, m, -50, 50);
-        let res = Design1Array::new(m).run(g.matrix_string());
+        let res = Design1Array::new(m).try_run(g.matrix_string(), &mut NoFaults, &mut NullSink).unwrap();
         prop_assert_eq!(res.optimum(), solve::forward_dp(&g).cost);
     }
 
@@ -120,7 +122,7 @@ proptest! {
         // InventoryCost produces INF (infeasible) transitions; the array
         // must handle absent edges identically to the baseline.
         let g = generate::inventory(seed, n, m);
-        let res = Design3Array::new(m).run(&g);
+        let res = Design3Array::new(m).try_run(&g, &mut NoFaults, &mut NullSink).unwrap();
         let dp = solve::backward_dp(&g.to_multistage());
         prop_assert_eq!(res.cost, dp.cost);
         if res.cost.is_finite() {
@@ -132,7 +134,7 @@ proptest! {
 
     #[test]
     fn pu_is_always_a_probability(n in 2u64..10_000, k in 1u64..512) {
-        let pu = TreeScheduler.simulate(n, k).processor_utilization();
+        let pu = TreeScheduler.try_simulate(n, k, &mut NullSink).unwrap().processor_utilization();
         prop_assert!((0.0..=1.0).contains(&pu), "PU {pu} out of range");
     }
 }
@@ -142,7 +144,9 @@ fn design1_extreme_saturating_costs() {
     // Costs near the saturation boundary must not wrap or reach INF.
     let big = Cost::MAX_FINITE.raw() / 4;
     let g = generate::random_single_source_sink(1, 5, 3, big - 10, big);
-    let res = Design1Array::new(3).run(g.matrix_string());
+    let res = Design1Array::new(3)
+        .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+        .unwrap();
     let dp = solve::forward_dp(&g);
     assert_eq!(res.optimum(), dp.cost);
     assert!(res.optimum().is_finite());

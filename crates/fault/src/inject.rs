@@ -13,7 +13,7 @@
 //! only the payload, never the flow control.
 
 use crate::plan::{Fault, FaultPlan};
-use sdp_semiring::{Cost, MaxPlus, MinPlus};
+use sdp_semiring::{BoolOr, Cost, CountPlus, MaxPlus, MinPlus};
 use sdp_trace::FaultKind;
 
 /// A corruption to apply to one PE output word.
@@ -316,6 +316,28 @@ impl FaultyWord for MaxPlus {
 
     fn stuck_at(self, value: i64) -> MaxPlus {
         MaxPlus(self.0.stuck_at(value))
+    }
+}
+
+/// A boolean word has one payload bit: any flip inverts it, and a
+/// stuck-at value is true when non-zero.
+impl FaultyWord for BoolOr {
+    fn flip_bit(self, _bit: u32) -> BoolOr {
+        BoolOr(!self.0)
+    }
+
+    fn stuck_at(self, value: i64) -> BoolOr {
+        BoolOr(value != 0)
+    }
+}
+
+impl FaultyWord for CountPlus {
+    fn flip_bit(self, bit: u32) -> CountPlus {
+        CountPlus(self.0.flip_bit(bit))
+    }
+
+    fn stuck_at(self, value: i64) -> CountPlus {
+        CountPlus(self.0.stuck_at(value))
     }
 }
 

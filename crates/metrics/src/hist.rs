@@ -8,10 +8,11 @@
 //! atomics, no lock, no allocation.
 //!
 //! Quantiles are *exact-bucket*: `quantile(0.99)` returns the upper
-//! bound of the bucket containing the p99 rank (or the exact observed
-//! maximum for the overflow bucket).  That is conservative by at most
-//! one power of two and needs no sample storage, which is what makes
-//! it safe to leave enabled at saturation.
+//! bound of the bucket containing the p99 rank, clamped to the exact
+//! observed maximum (so a quantile never exceeds `max`, and the
+//! overflow bucket answers with `max` itself).  That is conservative by
+//! at most one power of two and needs no sample storage, which is what
+//! makes it safe to leave enabled at saturation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -183,9 +184,9 @@ impl HistogramSnapshot {
     }
 
     /// Exact-bucket quantile for `q` in `[0, 1]`: the upper bound of
-    /// the bucket holding the `ceil(q·count)`-th smallest sample.  The
-    /// overflow bucket answers with the exact observed maximum.  An
-    /// empty histogram answers 0.
+    /// the bucket holding the `ceil(q·count)`-th smallest sample,
+    /// clamped to the exact observed maximum (which is also the answer
+    /// for the overflow bucket).  An empty histogram answers 0.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -195,7 +196,7 @@ impl HistogramSnapshot {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return self.bound(i).unwrap_or(self.max);
+                return self.bound(i).map_or(self.max, |b| b.min(self.max));
             }
         }
         self.max
@@ -226,7 +227,7 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.counts[0], 1);
         assert_eq!(s.max, 0);
-        assert_eq!(s.quantile(0.5), 1, "bucket 0's upper bound is 1");
+        assert_eq!(s.quantile(0.5), 0, "bucket 0's bound 1 clamps to max 0");
     }
 
     #[test]
@@ -267,6 +268,15 @@ mod tests {
     }
 
     #[test]
+    fn quantile_never_exceeds_the_observed_max() {
+        let h = Histogram::latency();
+        h.record(3);
+        // 3 ∈ (2,4]: the bucket bound 4 would overstate the only sample.
+        assert_eq!(h.quantile(0.5), 3);
+        assert_eq!(h.quantile(0.99), 3);
+    }
+
+    #[test]
     fn quantiles_walk_cumulative_counts() {
         let h = Histogram::latency();
         // 90 fast samples at 100 µs, 10 slow at 10_000 µs.
@@ -279,8 +289,9 @@ mod tests {
         // 100 ∈ (64,128]: bound 128.  10_000 ∈ (8192,16384]: bound 16384.
         assert_eq!(h.quantile(0.50), 128);
         assert_eq!(h.quantile(0.90), 128);
-        assert_eq!(h.quantile(0.99), 16_384);
-        assert_eq!(h.quantile(1.0), 16_384);
+        // The slow bucket's bound clamps to the observed max.
+        assert_eq!(h.quantile(0.99), 10_000);
+        assert_eq!(h.quantile(1.0), 10_000);
         let s = h.snapshot();
         assert_eq!(s.count, 100);
         assert_eq!(s.sum, 90 * 100 + 10 * 10_000);

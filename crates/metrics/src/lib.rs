@@ -16,8 +16,9 @@
 //! - [`Histogram`]: fixed log₂-scale buckets over `u64` samples
 //!   (microseconds by convention) with exact count/sum/max and
 //!   exact-*bucket* quantile queries — p50/p90/p99 resolve to the upper
-//!   bound of the bucket holding the rank, so the answer is conservative
-//!   by at most 2× and never requires storing samples.
+//!   bound of the bucket holding the rank, clamped to the observed
+//!   maximum, so the answer is conservative by at most 2×, never
+//!   exceeds `max`, and never requires storing samples.
 //! - [`Registry`]: named, labelled handles to all of the above plus a
 //!   deterministic Prometheus-style text exposition.  The registry's
 //!   internal mutex is touched only at registration and export time;

@@ -1,8 +1,8 @@
 //! Cross-engine differential drivers.
 //!
 //! Each `check_*` driver pushes **one** instance through *every*
-//! applicable engine variant — plain, traced, `try_*`, fault-traced
-//! under [`NoFaults`], batched, TMR/duplex resilient wrappers, spare
+//! distinct engine code path — the single-instance entry (run under
+//! [`NoFaults`]), batched, TMR/duplex resilient wrappers, spare
 //! columns, the `StealPool`-backed D&C executor, and the `sdp-backend`
 //! compiled direct solvers — and requires each answer to be
 //! bit-identical (via [`reference::weq`]) to the independent oracle's.
@@ -13,9 +13,9 @@
 //! [`crate::invariants`] run on the measured stats of the same runs, so
 //! a conformance sweep validates values *and* timing at once.
 //!
-//! Every driver returns the number of engine variants it exercised;
-//! the conformance tests assert a floor on that count so a silently
-//! skipped variant fails the suite rather than shrinking it.
+//! Every driver returns the number of distinct code paths it
+//! exercised; the conformance tests assert a floor on that count so a
+//! silently skipped path fails the suite rather than shrinking it.
 
 use crate::invariants;
 use crate::reference::{self, weq, Weight};
@@ -29,11 +29,7 @@ use sdp_core::design1::Design1Array;
 use sdp_core::design2::Design2Array;
 use sdp_core::design3::Design3Array;
 use sdp_core::dnc::ParallelExecutor;
-use sdp_core::edit_array::{
-    edit_distance_fault_traced, edit_distance_mesh, edit_distance_mesh_batch,
-    edit_distance_mesh_batch_traced, edit_distance_mesh_traced, edit_distance_seq,
-    try_edit_distance_mesh, try_edit_distance_mesh_traced,
-};
+use sdp_core::edit_array::{edit_distance_mesh_batch, edit_distance_seq, try_edit_distance_mesh};
 use sdp_core::matmul_array::MatmulArray;
 use sdp_core::resilient::{
     design1_tmr, design2_tmr, design3_tmr, edit_distance_recompute, edit_distance_tmr,
@@ -42,7 +38,7 @@ use sdp_core::resilient::{
 use sdp_fault::{Fault, FaultPlan, FaultyWord, NoFaults, PlanInjector};
 use sdp_multistage::{solve, MultistageGraph, NodeValueGraph};
 use sdp_semiring::{Cost, Matrix, MinPlus, Semiring};
-use sdp_systolic::{scheduler::eq29_time, TreeScheduler};
+use sdp_systolic::{scheduler::try_eq29_time, TreeScheduler};
 use sdp_trace::{CountingSink, NullSink};
 
 /// Asserts a cost vector is element-wise [`weq`]-identical to the
@@ -108,13 +104,7 @@ pub fn check_multistage_string(tag: &str, mats: &[Matrix<MinPlus>]) -> usize {
     let d1 = Design1Array::new(m);
     let mut sink = CountingSink::default();
     let runs = [
-        d1.run(mats),
-        d1.run_traced(mats, &mut sink),
-        d1.try_run(mats).expect("d1 try_run"),
-        d1.try_run_traced(mats, &mut NullSink)
-            .expect("d1 try_run_traced"),
-        d1.run_fault_traced(mats, &mut NoFaults, &mut NullSink)
-            .expect("d1 fault traced"),
+        d1.try_run(mats, &mut NoFaults, &mut sink).expect("d1 run"),
         d1.run_with_spare_traced(mats, 0, &mut NoFaults, &mut NullSink)
             .expect("d1 spare")
             .0,
@@ -131,7 +121,7 @@ pub fn check_multistage_string(tag: &str, mats: &[Matrix<MinPlus>]) -> usize {
         invariants::check_design1(m, n, r);
         variants += 1;
     }
-    assert_eq!(sink.cycles, runs[1].cycles, "{tag}: d1 sink cycle count");
+    assert_eq!(sink.cycles, runs[0].cycles, "{tag}: d1 sink cycle count");
     if sss && n >= 2 {
         invariants::check_eq9(m, n, &runs[0]);
     }
@@ -183,13 +173,8 @@ pub fn check_multistage_string(tag: &str, mats: &[Matrix<MinPlus>]) -> usize {
     // Design 2 (broadcast, Fig. 4).
     let d2 = Design2Array::new(m);
     let runs2 = [
-        d2.run(mats),
-        d2.run_traced(mats, &mut NullSink),
-        d2.try_run(mats).expect("d2 try_run"),
-        d2.try_run_traced(mats, &mut NullSink)
-            .expect("d2 try_run_traced"),
-        d2.run_fault_traced(mats, &mut NoFaults, &mut NullSink)
-            .expect("d2 fault traced"),
+        d2.try_run(mats, &mut NoFaults, &mut NullSink)
+            .expect("d2 run"),
         design2_tmr(&d2, mats, &mut NoFaults, &mut NullSink)
             .expect("d2 tmr clean")
             .0,
@@ -308,13 +293,7 @@ pub fn check_node_value(tag: &str, g: &NodeValueGraph) -> usize {
 
     let d3 = Design3Array::new(m);
     let runs = [
-        d3.run(g),
-        d3.run_traced(g, &mut NullSink),
-        d3.try_run(g).expect("d3 try_run"),
-        d3.try_run_traced(g, &mut NullSink)
-            .expect("d3 try_run_traced"),
-        d3.run_fault_traced(g, &mut NoFaults, &mut NullSink)
-            .expect("d3 fault traced"),
+        d3.try_run(g, &mut NoFaults, &mut NullSink).expect("d3 run"),
         design3_tmr(&d3, g, &mut NoFaults, &mut NullSink)
             .expect("d3 tmr clean")
             .0,
@@ -348,23 +327,20 @@ pub fn check_node_value(tag: &str, g: &NodeValueGraph) -> usize {
     variants + 1
 }
 
-/// Differential driver for one mesh product over any semiring: plain,
-/// traced, `try_*`, and batched runs against the naive oracle product.
-pub fn check_matmul_pair<S: Semiring>(tag: &str, a: &Matrix<S>, b: &Matrix<S>) -> usize {
+/// Differential driver for one mesh product over any semiring: the
+/// single and batched mesh runs and their direct mirrors against the
+/// naive oracle product.
+pub fn check_matmul_pair<S: Semiring + FaultyWord>(
+    tag: &str,
+    a: &Matrix<S>,
+    b: &Matrix<S>,
+) -> usize {
     let want = reference::semiring_mul_ref(a, b);
     let (p, q, r) = (a.rows(), a.cols(), b.cols());
-    let runs = [
-        MatmulArray::multiply(a, b),
-        MatmulArray::multiply_traced(a, b, &mut NullSink),
-        MatmulArray::try_multiply(a, b).expect("matmul try"),
-        MatmulArray::try_multiply_traced(a, b, &mut NullSink).expect("matmul try traced"),
-    ];
-    let mut variants = 0;
-    for run in &runs {
-        assert_eq!(run.product, want, "{tag}: mesh product vs oracle");
-        invariants::check_matmul(p, q, r, run);
-        variants += 1;
-    }
+    let run = MatmulArray::try_multiply(a, b, &mut NoFaults, &mut NullSink).expect("matmul run");
+    assert_eq!(run.product, want, "{tag}: mesh product vs oracle");
+    invariants::check_matmul(p, q, r, &run);
+    let mut variants = 1;
     let pairs = vec![(a.clone(), b.clone()); 3];
     let batch = MatmulArray::multiply_batch(&pairs).expect("matmul batch");
     for t in 0..3 {
@@ -381,9 +357,9 @@ pub fn check_matmul_pair<S: Semiring>(tag: &str, a: &Matrix<S>, b: &Matrix<S>) -
     // analytic Stats vs the mesh's measured Stats, single and batched.
     let direct = sdp_backend::matmul_direct(a, b).expect("matmul direct");
     assert_eq!(direct.product, want, "{tag}: direct product vs oracle");
-    assert_eq!(direct.cycles, runs[0].cycles, "{tag}: direct cycles");
+    assert_eq!(direct.cycles, run.cycles, "{tag}: direct cycles");
     assert_eq!(
-        direct.stats, runs[0].stats,
+        direct.stats, run.stats,
         "{tag}: direct analytic stats vs measured"
     );
     let dbatch = sdp_backend::matmul_direct_batch(&pairs).expect("matmul direct batch");
@@ -447,9 +423,9 @@ pub fn check_matmul_resilient<S: Semiring + FaultyWord>(
 
 /// Differential driver for the string-product engines over any
 /// semiring: sequential fold, the mesh D&C at several granularities,
-/// and every `ParallelExecutor` path (plain, `try`, `StealPool`,
+/// and every `ParallelExecutor` path (synchronous rounds, `StealPool`,
 /// fault-tolerant with and without worker deaths).
-pub fn check_string_engines<S: Semiring>(tag: &str, mats: &[Matrix<S>]) -> usize {
+pub fn check_string_engines<S: Semiring + FaultyWord>(tag: &str, mats: &[Matrix<S>]) -> usize {
     let want = reference::semiring_string_ref(mats);
     let n = mats.len() as u64;
     assert_eq!(
@@ -463,7 +439,8 @@ pub fn check_string_engines<S: Semiring>(tag: &str, mats: &[Matrix<S>]) -> usize
     // `T₁ = 3m − 2` for the square operands of a string product.
     let t1 = (3 * mats[0].rows() - 2) as u64;
     for k in [1u64, 2, 4] {
-        let (prod, cycles) = MatmulArray::multiply_string_dnc(mats, k);
+        let (prod, cycles) =
+            MatmulArray::try_multiply_string_dnc(mats, k, &mut NullSink).expect("dnc");
         assert_eq!(prod, want, "{tag}: dnc k={k} vs oracle");
         assert_eq!(
             cycles,
@@ -472,23 +449,16 @@ pub fn check_string_engines<S: Semiring>(tag: &str, mats: &[Matrix<S>]) -> usize
         );
         variants += 1;
     }
-    let (prod, _) = MatmulArray::multiply_string_dnc_traced(mats, 2, &mut NullSink);
-    assert_eq!(prod, want, "{tag}: dnc traced vs oracle");
-    let (prod, _) = MatmulArray::try_multiply_string_dnc(mats, 2).expect("try dnc");
-    assert_eq!(prod, want, "{tag}: try dnc vs oracle");
-    variants += 2;
 
     let exec = ParallelExecutor::new(2);
-    let (prod, rounds) = exec.multiply_string(mats);
+    let (prod, rounds) = exec.try_multiply_string(mats, None).expect("executor");
     assert_eq!(prod, want, "{tag}: executor vs oracle");
     assert_eq!(
         rounds,
         reference::dnc_rounds_ref(n, 2),
         "{tag}: executor rounds vs greedy pairing model"
     );
-    let (prod, _) = exec.try_multiply_string(mats).expect("try executor");
-    assert_eq!(prod, want, "{tag}: try executor vs oracle");
-    variants += 2;
+    variants += 1;
 
     let (prod, layers) = exec.multiply_string_pool(mats).expect("pool");
     assert_eq!(prod, want, "{tag}: steal pool vs oracle");
@@ -513,17 +483,13 @@ pub fn check_string_engines<S: Semiring>(tag: &str, mats: &[Matrix<S>]) -> usize
     variants + 2
 }
 
-/// Differential driver for the edit-distance mesh: plain/traced/`try`
-/// variants, the resilient wrappers, the engine's own sequential DP,
-/// and the pipelined batch, all against the oracle table.
+/// Differential driver for the edit-distance mesh: the single-run
+/// entry, the resilient wrappers, the engine's own sequential DP, and
+/// the pipelined batch, all against the oracle table.
 pub fn check_edit(tag: &str, a: &[u8], b: &[u8]) -> usize {
     let want = reference::edit_distance_ref(a, b);
     let runs = [
-        edit_distance_mesh(a, b),
-        edit_distance_mesh_traced(a, b, &mut NullSink),
-        try_edit_distance_mesh(a, b).expect("edit try"),
-        try_edit_distance_mesh_traced(a, b, &mut NullSink).expect("edit try traced"),
-        edit_distance_fault_traced(a, b, &mut NoFaults, &mut NullSink).expect("edit fault traced"),
+        try_edit_distance_mesh(a, b, &mut NoFaults, &mut NullSink).expect("edit run"),
         edit_distance_tmr(a, b, &mut NoFaults, &mut NullSink)
             .expect("edit tmr clean")
             .0,
@@ -561,10 +527,8 @@ pub fn check_edit(tag: &str, a: &[u8], b: &[u8]) -> usize {
     if !a.is_empty() && !b.is_empty() {
         let pairs: Vec<(&[u8], &[u8])> = vec![(a, b); 3];
         let batch = edit_distance_mesh_batch(&pairs).expect("edit batch");
-        let traced = edit_distance_mesh_batch_traced(&pairs, &mut NullSink).expect("edit batch");
         for t in 0..3 {
             assert_eq!(batch.distances[t], want, "{tag}: batch distance[{t}]");
-            assert_eq!(traced.distances[t], want, "{tag}: traced batch distance");
         }
         invariants::check_edit_batch(a.len(), b.len(), 3, &batch);
         let dbatch = sdp_backend::edit_direct_batch(&pairs).expect("edit direct batch");
@@ -577,7 +541,7 @@ pub fn check_edit(tag: &str, a: &[u8], b: &[u8]) -> usize {
             dbatch.stats, batch.stats,
             "{tag}: direct batch analytic stats vs measured"
         );
-        variants += 3;
+        variants += 2;
     }
     variants
 }
@@ -642,18 +606,14 @@ fn assert_alignment_valid(
 }
 
 /// Differential driver for the local-alignment family: Smith–Waterman,
-/// banded SW, and Gotoh affine gaps through every mesh variant, the
+/// banded SW, and Gotoh affine gaps through every mesh path, the
 /// direct backends (full-field `Stats` equality), the pipelined
 /// batches, and host-side traceback — all against the from-scratch
 /// textbook references.
 pub fn check_alignment(tag: &str, a: &[u8], b: &[u8], band: usize, scoring: &Scoring) -> usize {
     use sdp_core::align::{
-        gotoh_fault_traced, gotoh_mesh, gotoh_mesh_batch, gotoh_mesh_batch_traced,
-        gotoh_mesh_traced, recover_local_alignment, sw_banded_fault_traced, sw_banded_mesh,
-        sw_banded_mesh_aligned, sw_banded_mesh_batch, sw_banded_mesh_batch_traced,
-        sw_banded_mesh_traced, sw_fault_traced, sw_mesh, sw_mesh_aligned, sw_mesh_batch,
-        sw_mesh_batch_traced, sw_mesh_traced, try_gotoh_mesh, try_gotoh_mesh_traced,
-        try_sw_banded_mesh, try_sw_banded_mesh_traced, try_sw_mesh, try_sw_mesh_traced,
+        gotoh_mesh_batch, recover_local_alignment, sw_banded_mesh_aligned, sw_banded_mesh_batch,
+        sw_mesh_aligned, sw_mesh_batch, try_gotoh_mesh, try_sw_banded_mesh, try_sw_mesh,
     };
     let sub = |p: u8, q: u8| scoring.subst.score(p, q);
     let want_sw = reference::sw_ref(a, b, &sub, scoring.gap);
@@ -672,57 +632,36 @@ pub fn check_alignment(tag: &str, a: &[u8], b: &[u8], band: usize, scoring: &Sco
         variants += 1;
     }
 
-    let sw_runs = [
-        sw_mesh(a, b, scoring),
-        sw_mesh_traced(a, b, scoring, &mut NullSink),
-        try_sw_mesh(a, b, scoring).expect("sw try"),
-        try_sw_mesh_traced(a, b, scoring, &mut NullSink).expect("sw try traced"),
-        sw_fault_traced(a, b, scoring, &mut NoFaults, &mut NullSink).expect("sw fault traced"),
-    ];
-    let banded_runs = [
-        sw_banded_mesh(a, b, band, scoring),
-        sw_banded_mesh_traced(a, b, band, scoring, &mut NullSink),
-        try_sw_banded_mesh(a, b, band, scoring).expect("banded try"),
-        try_sw_banded_mesh_traced(a, b, band, scoring, &mut NullSink).expect("banded try traced"),
-        sw_banded_fault_traced(a, b, band, scoring, &mut NoFaults, &mut NullSink)
-            .expect("banded fault traced"),
-    ];
-    let gotoh_runs = [
-        gotoh_mesh(a, b, scoring),
-        gotoh_mesh_traced(a, b, scoring, &mut NullSink),
-        try_gotoh_mesh(a, b, scoring).expect("gotoh try"),
-        try_gotoh_mesh_traced(a, b, scoring, &mut NullSink).expect("gotoh try traced"),
-        gotoh_fault_traced(a, b, scoring, &mut NoFaults, &mut NullSink)
-            .expect("gotoh fault traced"),
-    ];
+    let sw = try_sw_mesh(a, b, scoring, &mut NoFaults, &mut NullSink).expect("sw run");
+    let banded =
+        try_sw_banded_mesh(a, b, band, scoring, &mut NoFaults, &mut NullSink).expect("banded run");
+    let gotoh = try_gotoh_mesh(a, b, scoring, &mut NoFaults, &mut NullSink).expect("gotoh run");
     let cycles = if a.is_empty() || b.is_empty() {
         0
     } else {
         (a.len() + b.len() - 1) as u64
     };
-    for (family, runs, want) in [
-        ("sw", &sw_runs, want_sw),
-        ("banded", &banded_runs, want_banded),
-        ("gotoh", &gotoh_runs, want_gotoh),
+    for (family, run, want) in [
+        ("sw", &sw, want_sw),
+        ("banded", &banded, want_banded),
+        ("gotoh", &gotoh, want_gotoh),
     ] {
-        for run in runs {
-            assert_eq!(run.score, want.0, "{tag}: {family} score vs oracle");
-            assert_eq!(run.end, want.1, "{tag}: {family} argmax vs oracle");
-            assert_eq!(run.cycles, cycles, "{tag}: {family} makespan");
-            variants += 1;
-        }
+        assert_eq!(run.score, want.0, "{tag}: {family} score vs oracle");
+        assert_eq!(run.end, want.1, "{tag}: {family} argmax vs oracle");
+        assert_eq!(run.cycles, cycles, "{tag}: {family} makespan");
+        variants += 1;
     }
 
     // Cross-design agreement: a band that covers the whole matrix is
     // the full mesh, and affine gaps with open == extend degenerate to
     // the linear model.
     if band >= a.len().max(b.len()) {
-        assert_eq!(banded_runs[0], sw_runs[0], "{tag}: covering band ≠ full");
+        assert_eq!(banded, sw, "{tag}: covering band ≠ full");
     }
     if scoring.gap_open == scoring.gap && scoring.gap_extend == scoring.gap {
         assert_eq!(
-            (gotoh_runs[0].score, gotoh_runs[0].end),
-            (sw_runs[0].score, sw_runs[0].end),
+            (gotoh.score, gotoh.end),
+            (sw.score, sw.end),
             "{tag}: degenerate affine ≠ linear"
         );
     }
@@ -730,17 +669,13 @@ pub fn check_alignment(tag: &str, a: &[u8], b: &[u8], band: usize, scoring: &Sco
     // Direct backends: value equality with the oracle plus full-field
     // analytic-vs-measured Stats equality with the mesh.
     let directs = [
-        ("sw", sdp_backend::sw_direct(a, b, scoring), &sw_runs[0]),
+        ("sw", sdp_backend::sw_direct(a, b, scoring), &sw),
         (
             "banded",
             sdp_backend::sw_banded_direct(a, b, band, scoring),
-            &banded_runs[0],
+            &banded,
         ),
-        (
-            "gotoh",
-            sdp_backend::gotoh_direct(a, b, scoring),
-            &gotoh_runs[0],
-        ),
+        ("gotoh", sdp_backend::gotoh_direct(a, b, scoring), &gotoh),
     ];
     for (family, direct, mesh) in directs {
         let direct = direct.unwrap_or_else(|e| panic!("{tag}: {family} direct: {e}"));
@@ -754,7 +689,7 @@ pub fn check_alignment(tag: &str, a: &[u8], b: &[u8], band: usize, scoring: &Sco
     // Host-side traceback, full and banded: the recovered ops must
     // replay to the forward pass's score.
     let (run, alignment) = sw_mesh_aligned(a, b, scoring);
-    assert_eq!(run, sw_runs[0], "{tag}: aligned rerun diverges");
+    assert_eq!(run, sw, "{tag}: aligned rerun diverges");
     assert_alignment_valid(tag, a, b, None, scoring, &run, alignment.as_ref());
     assert_eq!(
         alignment,
@@ -762,7 +697,7 @@ pub fn check_alignment(tag: &str, a: &[u8], b: &[u8], band: usize, scoring: &Sco
         "{tag}: traceback is not a pure function of the run"
     );
     let (brun, banded_alignment) = sw_banded_mesh_aligned(a, b, band, scoring);
-    assert_eq!(brun, banded_runs[0], "{tag}: banded aligned rerun diverges");
+    assert_eq!(brun, banded, "{tag}: banded aligned rerun diverges");
     assert_alignment_valid(
         tag,
         a,
@@ -811,16 +746,6 @@ pub fn check_alignment(tag: &str, a: &[u8], b: &[u8], band: usize, scoring: &Sco
             assert_eq!(direct, mesh, "{tag}: {family} direct batch vs mesh");
             variants += 2;
         }
-        let traced = [
-            sw_mesh_batch_traced(&pairs, scoring, &mut NullSink).expect("sw batch traced"),
-            sw_banded_mesh_batch_traced(&pairs, band, scoring, &mut NullSink)
-                .expect("banded batch traced"),
-            gotoh_mesh_batch_traced(&pairs, scoring, &mut NullSink).expect("gotoh batch traced"),
-        ];
-        for (batch, want) in traced.iter().zip([want_sw, want_banded, want_gotoh]) {
-            assert_eq!(batch.scores, vec![want.0; 3], "{tag}: traced batch scores");
-            variants += 1;
-        }
     }
     variants
 }
@@ -865,8 +790,8 @@ pub fn check_alignment_scores(
     variants
 }
 
-/// Differential driver for the 0/1 knapsack array: every streaming
-/// variant, item-set recovery against brute-force subset enumeration,
+/// Differential driver for the 0/1 knapsack array: the streaming
+/// entry, item-set recovery against brute-force subset enumeration,
 /// the direct backend (full-field `Stats` equality), and the flush-
 /// separated batch — all against the from-scratch reference row.
 pub fn check_knapsack(
@@ -875,10 +800,8 @@ pub fn check_knapsack(
     capacity: u64,
 ) -> usize {
     use sdp_core::knapsack_array::{
-        knapsack_array, knapsack_array_batch, knapsack_array_batch_traced,
-        knapsack_array_recovered, knapsack_array_traced, knapsack_cycle_count,
-        knapsack_fault_traced, try_knapsack_array, try_knapsack_array_recovered,
-        try_knapsack_array_traced,
+        knapsack_array_batch, knapsack_cycle_count, try_knapsack_array,
+        try_knapsack_array_recovered,
     };
     let plain: Vec<(u64, u64)> = items.iter().map(|it| (it.weight, it.value)).collect();
     let want_row = reference::knapsack_row_ref(&plain, capacity);
@@ -897,37 +820,23 @@ pub fn check_knapsack(
         variants += 1;
     }
 
-    let runs = [
-        knapsack_array(items, capacity),
-        knapsack_array_traced(items, capacity, &mut NullSink),
-        try_knapsack_array(items, capacity).expect("knapsack try"),
-        try_knapsack_array_traced(items, capacity, &mut NullSink).expect("knapsack try traced"),
-        knapsack_fault_traced(items, capacity, &mut NoFaults, &mut NullSink)
-            .expect("knapsack fault traced"),
-    ];
+    let run =
+        try_knapsack_array(items, capacity, &mut NoFaults, &mut NullSink).expect("knapsack run");
     let want_cycles = if items.is_empty() {
         0
     } else {
         knapsack_cycle_count(items, capacity)
     };
-    for run in &runs {
-        assert_eq!(run.per_capacity, want_row, "{tag}: array row vs oracle");
-        assert_eq!(run.best, want_best, "{tag}: array optimum vs oracle");
-        assert_eq!(run.cycles, want_cycles, "{tag}: array makespan closed form");
-        variants += 1;
-    }
+    assert_eq!(run.per_capacity, want_row, "{tag}: array row vs oracle");
+    assert_eq!(run.best, want_best, "{tag}: array optimum vs oracle");
+    assert_eq!(run.cycles, want_cycles, "{tag}: array makespan closed form");
+    variants += 1;
 
     // Item-set recovery from the PEs' traceback memory: the set must
-    // be feasible, worth exactly the optimum, and identical across the
-    // recovered variants and the direct replay.
-    let (rec_run, set) = knapsack_array_recovered(items, capacity);
-    assert_eq!(rec_run, runs[0], "{tag}: recovered rerun diverges");
-    let (try_run, try_set) = try_knapsack_array_recovered(items, capacity).expect("recover try");
-    assert_eq!(
-        (&try_run, &try_set),
-        (&rec_run, &set),
-        "{tag}: try recovery"
-    );
+    // be feasible, worth exactly the optimum, and identical to the
+    // direct replay.
+    let (rec_run, set) = try_knapsack_array_recovered(items, capacity).expect("recover");
+    assert_eq!(rec_run, run, "{tag}: recovered rerun diverges");
     let weight: u64 = set.iter().map(|&i| items[i].weight).sum();
     let value: u64 = set.iter().map(|&i| items[i].value).sum();
     assert!(weight <= capacity, "{tag}: recovered set overweight");
@@ -936,12 +845,12 @@ pub fn check_knapsack(
         set.windows(2).all(|w| w[0] < w[1]),
         "{tag}: recovered set not ascending"
     );
-    variants += 2;
+    variants += 1;
 
     // Direct backend: bit-identical run (including analytic Stats) and
     // the same recovered set.
     let direct = sdp_backend::knapsack_direct(items, capacity);
-    assert_eq!(direct, runs[0], "{tag}: direct vs array (incl. stats)");
+    assert_eq!(direct, run, "{tag}: direct vs array (incl. stats)");
     let (drun, dset) = sdp_backend::knapsack_direct_recovered(items, capacity);
     assert_eq!(drun, rec_run, "{tag}: direct recovered run");
     assert_eq!(dset, set, "{tag}: direct recovered set");
@@ -950,15 +859,13 @@ pub fn check_knapsack(
     // Flush-separated batch of three copies, plus the direct mirror.
     let refs: Vec<&[sdp_core::knapsack_array::KnapsackItem]> = vec![items; 3];
     let batch = knapsack_array_batch(&refs, capacity).expect("knapsack batch");
-    let traced = knapsack_array_batch_traced(&refs, capacity, &mut NullSink).expect("batch traced");
-    assert_eq!(batch, traced, "{tag}: traced batch diverges");
     for t in 0..3 {
         assert_eq!(batch.per_capacity[t], want_row, "{tag}: batch row[{t}]");
         assert_eq!(batch.bests[t], want_best, "{tag}: batch best[{t}]");
     }
     let dbatch = sdp_backend::knapsack_direct_batch(&refs, capacity).expect("direct batch");
     assert_eq!(dbatch, batch, "{tag}: direct batch vs array (incl. stats)");
-    variants + 3
+    variants + 2
 }
 
 /// Row-level driver for the wide exhaustive knapsack sweep: the direct
@@ -1068,27 +975,19 @@ pub fn check_bst(tag: &str, freq: &[u64]) -> usize {
 }
 
 /// Differential driver for the D&C scheduler: the greedy simulation
-/// (all four variants) and the closed form against the oracle's
-/// independently re-derived round count.
+/// and the closed form against the oracle's independently re-derived
+/// round count.
 pub fn check_schedule(n: u64, k: u64) -> usize {
-    let core = sdp_core::dnc::schedule(n, k);
-    let sys = TreeScheduler.simulate(n, k);
-    let traced = TreeScheduler.simulate_traced(n, k, &mut NullSink);
-    let tried = TreeScheduler.try_simulate(n, k).expect("schedule try");
-    let tried_traced = TreeScheduler
-        .try_simulate_traced(n, k, &mut NullSink)
-        .expect("schedule try traced");
-    let mut variants = 0;
-    for s in [&core, &sys, &traced, &tried, &tried_traced] {
-        invariants::check_thm1(n, k, s);
-        variants += 1;
-    }
+    let schedule = TreeScheduler
+        .try_simulate(n, k, &mut NullSink)
+        .expect("schedule");
+    invariants::check_thm1(n, k, &schedule);
     assert_eq!(
-        eq29_time(n, k),
+        try_eq29_time(n, k).expect("valid N and K"),
         reference::eq29_ref(n, k),
         "Eq. 29 closed form vs oracle (N={n}, K={k})"
     );
-    variants + 1
+    2
 }
 
 #[cfg(test)]
@@ -1099,22 +998,22 @@ mod tests {
     #[test]
     fn drivers_accept_known_good_instances() {
         let g = MultistageGraph::fig_1a();
-        assert!(check_multistage_graph("fig1a", &g) >= 22);
+        assert!(check_multistage_graph("fig1a", &g) >= 15);
         assert!(check_chain("clrs", &[30, 35, 15, 5, 10, 20, 25]) >= 6);
         assert!(check_bst("bst", &[4, 2, 6, 3]) >= 4);
-        assert!(check_edit("kitten", b"kitten", b"sitting") >= 13);
+        assert!(check_edit("kitten", b"kitten", b"sitting") >= 8);
         let scoring = sdp_core::align::Scoring::simple(2, -1, 1);
-        assert!(check_alignment("sw", b"acacacta", b"agcacaca", 3, &scoring) >= 29);
+        assert!(check_alignment("sw", b"acacacta", b"agcacaca", 3, &scoring) >= 14);
         assert!(check_alignment_scores("sw scores", b"acgt", b"cgta", 2, &scoring) >= 3);
         let eps: Vec<_> = [(1, 1), (3, 4), (4, 5), (5, 7)]
             .iter()
             .map(|&(w, v)| sdp_core::knapsack_array::KnapsackItem::new(w, v))
             .collect();
-        assert!(check_knapsack("eps", &eps, 7) >= 13);
+        assert!(check_knapsack("eps", &eps, 7) >= 7);
         assert!(check_knapsack_row("eps row", &eps, 7) >= 2);
-        assert!(check_schedule(16, 2) >= 6);
+        assert!(check_schedule(16, 2) >= 2);
         let g = generate::random_uniform(42, 4, 3, 0, 9);
-        assert!(check_multistage_string("uniform", g.matrix_string()) >= 21);
+        assert!(check_multistage_string("uniform", g.matrix_string()) >= 13);
     }
 
     #[test]

@@ -203,12 +203,17 @@ pub fn check_props23(n_leaves: u64, broadcast: &ChainArrayResult, pipelined: &Ch
 mod tests {
     use super::*;
     use sdp_systolic::TreeScheduler;
+    use sdp_trace::NullSink;
 
     #[test]
     fn thm1_holds_on_simulated_schedules() {
         for n in [2u64, 5, 16, 100, 257] {
             for k in [1u64, 2, 7, 64] {
-                check_thm1(n, k, &TreeScheduler.simulate(n, k));
+                check_thm1(
+                    n,
+                    k,
+                    &TreeScheduler.try_simulate(n, k, &mut NullSink).unwrap(),
+                );
             }
         }
     }
@@ -216,7 +221,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "schedule rounds")]
     fn thm1_rejects_wrong_rounds() {
-        let mut s = TreeScheduler.simulate(16, 2);
+        let mut s = TreeScheduler
+            .try_simulate(16, 2, &mut NullSink)
+            .unwrap_or_else(|e| panic!("{e}"));
         s.rounds += 1;
         check_thm1(16, 2, &s);
     }

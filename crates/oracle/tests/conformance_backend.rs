@@ -19,13 +19,14 @@ use proptest::prelude::ProptestConfig;
 use proptest::proptest;
 use proptest::rng::TestRng;
 use sdp_andor::chain::{matrix_chain_order, optimal_bst};
-use sdp_core::align::{gotoh_mesh, sw_banded_mesh, sw_mesh, Scoring};
+use sdp_core::align::{try_gotoh_mesh, try_sw_banded_mesh, try_sw_mesh, Scoring};
 use sdp_core::chain_array::{simulate_chain_array, ChainMapping};
 use sdp_core::design1::{Design1Array, Design1Result};
 use sdp_core::design2::{Design2Array, Design2Result};
-use sdp_core::edit_array::edit_distance_mesh;
-use sdp_core::knapsack_array::{knapsack_array, knapsack_cycle_count, KnapsackItem};
+use sdp_core::edit_array::try_edit_distance_mesh;
+use sdp_core::knapsack_array::{knapsack_cycle_count, try_knapsack_array, KnapsackItem};
 use sdp_core::matmul_array::MatmulArray;
+use sdp_fault::NoFaults;
 use sdp_multistage::generate;
 use sdp_oracle::reference::{self, weq, Weight};
 use sdp_oracle::strategies::{
@@ -34,6 +35,7 @@ use sdp_oracle::strategies::{
 };
 use sdp_oracle::{diffcase, invariants};
 use sdp_semiring::{Cost, Matrix, MinPlus};
+use sdp_trace::NullSink;
 
 fn assert_weights(tag: &str, got: &[Cost], want: &[Weight]) {
     assert_eq!(got.len(), want.len(), "{tag}: values length");
@@ -86,10 +88,18 @@ fn exhaustive_small_strings_direct_vs_sim_and_reference() {
         let want = reference::minplus_string_ref(mats).row_mins();
         let direct1 = sdp_backend::design1_direct(2, mats).expect("d1 direct");
         assert_weights(&tag, &direct1.values, &want);
-        assert_d1_identical(&tag, &direct1, &d1.run(mats));
+        assert_d1_identical(
+            &tag,
+            &direct1,
+            &d1.try_run(mats, &mut NoFaults, &mut NullSink).unwrap(),
+        );
         let direct2 = sdp_backend::design2_direct(2, mats).expect("d2 direct");
         assert_weights(&tag, &direct2.values, &want);
-        assert_d2_identical(&tag, &direct2, &d2.run(mats));
+        assert_d2_identical(
+            &tag,
+            &direct2,
+            &d2.try_run(mats, &mut NoFaults, &mut NullSink).unwrap(),
+        );
     }
 }
 
@@ -102,7 +112,7 @@ fn exhaustive_small_products_direct_vs_sim_and_reference() {
         let want = reference::semiring_mul_ref(a, b);
         let direct = sdp_backend::matmul_direct(a, b).expect("matmul direct");
         assert_eq!(direct.product, want, "{tag}: direct product vs oracle");
-        let sim = MatmulArray::multiply(a, b);
+        let sim = MatmulArray::try_multiply(a, b, &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(direct.product, sim.product, "{tag}: direct vs mesh product");
         assert_eq!(direct.cycles, sim.cycles, "{tag}: cycles");
         assert_eq!(direct.stats, sim.stats, "{tag}: analytic stats vs measured");
@@ -118,7 +128,7 @@ fn exhaustive_small_edits_direct_vs_sim_and_reference() {
         let want = reference::edit_distance_ref(a, b);
         let direct = sdp_backend::edit_direct(a, b);
         assert_eq!(direct.distance, want, "{tag}: direct distance vs oracle");
-        let sim = edit_distance_mesh(a, b);
+        let sim = try_edit_distance_mesh(a, b, &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(direct.distance, sim.distance, "{tag}: direct vs mesh");
         assert_eq!(direct.cycles, sim.cycles, "{tag}: cycles");
         assert_eq!(direct.stats, sim.stats, "{tag}: analytic stats vs measured");
@@ -176,8 +186,20 @@ fn large_string_ramp_direct_vs_sim_and_reference() {
         assert_weights(&tag, &direct2.values, &want);
         invariants::check_design2(m, n, &direct2);
         if sim_overlap {
-            assert_d1_identical(&tag, &direct1, &Design1Array::new(m).run(&mats));
-            assert_d2_identical(&tag, &direct2, &Design2Array::new(m).run(&mats));
+            assert_d1_identical(
+                &tag,
+                &direct1,
+                &Design1Array::new(m)
+                    .try_run(&mats, &mut NoFaults, &mut NullSink)
+                    .unwrap(),
+            );
+            assert_d2_identical(
+                &tag,
+                &direct2,
+                &Design2Array::new(m)
+                    .try_run(&mats, &mut NoFaults, &mut NullSink)
+                    .unwrap(),
+            );
         }
     }
 }
@@ -200,7 +222,7 @@ fn large_product_ramp_direct_vs_sim_and_reference() {
         let direct = sdp_backend::matmul_direct(&a, &b).expect("matmul direct");
         assert_eq!(direct.product, want, "{tag}: direct product vs oracle");
         invariants::check_matmul(m, m, m, &direct);
-        let sim = MatmulArray::multiply(&a, &b);
+        let sim = MatmulArray::try_multiply(&a, &b, &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(direct.cycles, sim.cycles, "{tag}: cycles");
         assert_eq!(direct.stats, sim.stats, "{tag}: analytic stats vs measured");
     }
@@ -226,7 +248,7 @@ fn large_edit_ramp_direct_vs_sim_and_reference() {
         assert_eq!(direct.distance, want, "{tag}: direct distance vs oracle");
         invariants::check_edit(la, lb, &direct);
         if sim_overlap {
-            let sim = edit_distance_mesh(&a, &b);
+            let sim = try_edit_distance_mesh(&a, &b, &mut NoFaults, &mut NullSink).unwrap();
             assert_eq!(direct.distance, sim.distance, "{tag}: direct vs mesh");
             assert_eq!(direct.cycles, sim.cycles, "{tag}: cycles");
             assert_eq!(direct.stats, sim.stats, "{tag}: analytic stats vs measured");
@@ -313,15 +335,19 @@ fn large_align_ramp_direct_vs_sim_and_reference() {
         );
 
         if sim_overlap {
-            assert_eq!(direct, sw_mesh(&a, &b, &linear), "{tag}: sw direct vs mesh");
+            assert_eq!(
+                direct,
+                try_sw_mesh(&a, &b, &linear, &mut NoFaults, &mut NullSink).unwrap(),
+                "{tag}: sw direct vs mesh"
+            );
             assert_eq!(
                 banded,
-                sw_banded_mesh(&a, &b, band, &linear),
+                try_sw_banded_mesh(&a, &b, band, &linear, &mut NoFaults, &mut NullSink).unwrap(),
                 "{tag}: banded direct vs mesh"
             );
             assert_eq!(
                 gotoh,
-                gotoh_mesh(&a, &b, &affine),
+                try_gotoh_mesh(&a, &b, &affine, &mut NoFaults, &mut NullSink).unwrap(),
                 "{tag}: gotoh direct vs mesh"
             );
         }
@@ -361,7 +387,7 @@ fn large_knapsack_ramp_direct_vs_sim_and_reference() {
         );
         assert_eq!(
             direct,
-            knapsack_array(&items, capacity),
+            try_knapsack_array(&items, capacity, &mut NoFaults, &mut NullSink).unwrap(),
             "{tag}: direct vs streaming array"
         );
     }

@@ -9,12 +9,12 @@ use sdp_oracle::{diff, diffcase};
 use sdp_semiring::{Matrix, MinPlus};
 
 /// Every 2×2 · 2×2 min-plus pair over `{0, 1, ∞}` — all 6561 — through
-/// the mesh variant matrix (plain, traced, `try_*`, batched).
+/// the mesh paths (single run, batch, and their direct mirrors).
 #[test]
 fn exhaustive_small_products_match_oracle() {
     for (i, (a, b)) in diffcase::matmul_exhaustive_small().iter().enumerate() {
         let variants = diff::check_matmul_pair(&format!("exhaustive[{i}]"), a, b);
-        assert!(variants >= 7, "variant matrix shrank to {variants}");
+        assert!(variants >= 4, "variant matrix shrank to {variants}");
     }
 }
 
@@ -24,27 +24,26 @@ fn exhaustive_small_products_match_oracle() {
 fn minplus_string_ramp_matches_oracle() {
     for c in diffcase::minplus_string_ramp(0x57A1, 18) {
         let tag = format!("{} seed={:#x}", c.shape, c.seed);
-        assert!(diff::check_string_engines(&tag, &c.instance) >= 10);
-        assert!(diff::check_matmul_pair(&tag, &c.instance[0], &c.instance[1]) >= 7);
+        assert!(diff::check_string_engines(&tag, &c.instance) >= 8);
+        assert!(diff::check_matmul_pair(&tag, &c.instance[0], &c.instance[1]) >= 4);
         assert!(diff::check_matmul_resilient(&tag, &c.instance[0], &c.instance[1]) >= 4);
     }
 }
 
 /// The same engines over the other semiring instances — max-plus gets
-/// the resilient wrappers too (it carries a faultable word), boolean
-/// and counting run the fault-free variant matrix.
+/// the resilient wrappers too, boolean and counting run fault-free.
 #[test]
 fn other_semirings_match_oracle() {
     for (maxp, boolean, counting) in diffcase::other_semiring_ramp(0x0DD5, 14) {
         let tag = format!("maxplus {} seed={:#x}", maxp.shape, maxp.seed);
-        assert!(diff::check_string_engines(&tag, &maxp.instance) >= 10);
+        assert!(diff::check_string_engines(&tag, &maxp.instance) >= 8);
         assert!(diff::check_matmul_resilient(&tag, &maxp.instance[0], &maxp.instance[1]) >= 4);
         let tag = format!("boolor {} seed={:#x}", boolean.shape, boolean.seed);
-        assert!(diff::check_string_engines(&tag, &boolean.instance) >= 10);
-        assert!(diff::check_matmul_pair(&tag, &boolean.instance[0], &boolean.instance[1]) >= 7);
+        assert!(diff::check_string_engines(&tag, &boolean.instance) >= 8);
+        assert!(diff::check_matmul_pair(&tag, &boolean.instance[0], &boolean.instance[1]) >= 4);
         let tag = format!("countplus {} seed={:#x}", counting.shape, counting.seed);
-        assert!(diff::check_string_engines(&tag, &counting.instance) >= 10);
-        assert!(diff::check_matmul_pair(&tag, &counting.instance[0], &counting.instance[1]) >= 7);
+        assert!(diff::check_string_engines(&tag, &counting.instance) >= 8);
+        assert!(diff::check_matmul_pair(&tag, &counting.instance[0], &counting.instance[1]) >= 4);
     }
 }
 
@@ -57,7 +56,7 @@ fn rectangular_products_match_oracle() {
     for (p, q, r) in [(1, 1, 1), (1, 3, 2), (4, 1, 3), (2, 5, 1), (3, 4, 5)] {
         let a = diffcase::random_matrix(&mut rng, p, q, 9, |v| MinPlus::from(v as i64));
         let b = diffcase::random_matrix(&mut rng, q, r, 9, |v| MinPlus::from(v as i64));
-        assert!(diff::check_matmul_pair(&format!("rect {p}x{q}x{r}"), &a, &b) >= 7);
+        assert!(diff::check_matmul_pair(&format!("rect {p}x{q}x{r}"), &a, &b) >= 4);
     }
 }
 

@@ -10,11 +10,13 @@
 use sdp_core::design1::Design1Array;
 use sdp_core::design2::Design2Array;
 use sdp_core::design3::Design3Array;
-use sdp_core::edit_array::{edit_distance_mesh, edit_distance_mesh_batch};
+use sdp_core::edit_array::{edit_distance_mesh_batch, try_edit_distance_mesh};
 use sdp_core::matmul_array::MatmulArray;
+use sdp_fault::NoFaults;
 use sdp_fault::SdpError;
 use sdp_multistage::generate;
 use sdp_semiring::{Matrix, MinPlus};
+use sdp_trace::NullSink;
 
 fn string(seed: u64, n: usize, m: usize) -> Vec<Matrix<MinPlus>> {
     generate::random_uniform(seed, n + 1, m, 0, 9)
@@ -25,7 +27,7 @@ fn string(seed: u64, n: usize, m: usize) -> Vec<Matrix<MinPlus>> {
 #[test]
 fn empty_edit_operands_report_zero_pes() {
     for (a, b) in [(&b""[..], &b""[..]), (b"", b"abc"), (b"abc", b"")] {
-        let run = edit_distance_mesh(a, b);
+        let run = try_edit_distance_mesh(a, b, &mut NoFaults, &mut NullSink).unwrap();
         assert_eq!(run.distance, (a.len() + b.len()) as u64);
         assert_eq!(run.cycles, 0, "fast path must not spin the mesh");
         assert_eq!(run.stats.num_pes(), 0, "fast path must build no PEs");

@@ -145,47 +145,41 @@ pub fn choose(bodies: &[Body], direct_threshold: u64) -> EngineKind {
     }
 }
 
-/// Runs a bucket on the simulator, returning one result per request in
-/// bucket order.  A batch-level engine error (shape validation) is
+/// Runs a bucket on the chosen backend, returning one result per
+/// request in bucket order.  Direct and sim payloads are bit-identical,
+/// so riders cannot observe the dispatch except through the response's
+/// `engine` tag.  A batch-level engine error (shape validation) is
 /// reported to every rider of the bucket.
-pub fn run_bucket(class: Class, bodies: &[Body]) -> Vec<Result<Json, SdpError>> {
-    run_bucket_on(EngineKind::Sim, class, bodies)
-}
-
-/// Runs a bucket on the chosen backend.  Direct and sim payloads are
-/// bit-identical, so riders cannot observe the dispatch except through
-/// the response's `engine` tag.
 pub fn run_bucket_on(
     kind: EngineKind,
     class: Class,
     bodies: &[Body],
 ) -> Vec<Result<Json, SdpError>> {
-    let results = match kind {
-        EngineKind::Sim => run_bucket_inner(class, bodies),
-        EngineKind::Direct => run_bucket_direct_inner(class, bodies),
-    };
-    match results {
+    match run_bucket_inner(kind, class, bodies) {
         Ok(results) => results,
         Err(e) => bodies.iter().map(|_| Err(e.clone())).collect(),
     }
 }
 
+/// One ladder for both backends: each class unpacks its bucket and
+/// renders its payloads once; `kind` only picks the kernel, whose sim
+/// and direct batch results share one type.
 #[allow(clippy::type_complexity)]
 fn run_bucket_inner(
+    kind: EngineKind,
     class: Class,
     bodies: &[Body],
 ) -> Result<Vec<Result<Json, SdpError>>, SdpError> {
+    let sim = kind == EngineKind::Sim;
     match class {
         Class::Multistage1 => {
-            let strings: Vec<&[Matrix<MinPlus>]> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Multistage { mats, .. } => mats.as_slice(),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let array = Design1Array::try_new(string_m(strings[0]))?;
-            let batch = array.run_batch(&strings)?;
+            let strings = multistage_strings(bodies);
+            let m = string_m(strings[0]);
+            let batch = if sim {
+                Design1Array::try_new(m)?.run_batch(&strings)?
+            } else {
+                sdp_backend::design1_direct_batch(m, &strings)?
+            };
             Ok(batch
                 .values
                 .iter()
@@ -193,15 +187,13 @@ fn run_bucket_inner(
                 .collect())
         }
         Class::Multistage2 => {
-            let strings: Vec<&[Matrix<MinPlus>]> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Multistage { mats, .. } => mats.as_slice(),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let array = Design2Array::try_new(string_m(strings[0]))?;
-            let batch = array.run_batch(&strings)?;
+            let strings = multistage_strings(bodies);
+            let m = string_m(strings[0]);
+            let batch = if sim {
+                Design2Array::try_new(m)?.run_batch(&strings)?
+            } else {
+                sdp_backend::design2_direct_batch(m, &strings)?
+            };
             Ok(batch
                 .values
                 .iter()
@@ -223,7 +215,11 @@ fn run_bucket_inner(
                     _ => unreachable!("bucket is single-class"),
                 })
                 .collect();
-            let batch = MatmulArray::multiply_batch(&pairs)?;
+            let batch = if sim {
+                MatmulArray::multiply_batch(&pairs)?
+            } else {
+                sdp_backend::matmul_direct_batch(&pairs)?
+            };
             Ok(batch
                 .products
                 .iter()
@@ -231,14 +227,12 @@ fn run_bucket_inner(
                 .collect())
         }
         Class::Edit => {
-            let pairs: Vec<(&[u8], &[u8])> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Edit { a, b } => (a.as_slice(), b.as_slice()),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = edit_distance_mesh_batch(&pairs)?;
+            let pairs = string_pairs(bodies);
+            let batch = if sim {
+                edit_distance_mesh_batch(&pairs)?
+            } else {
+                sdp_backend::edit_direct_batch(&pairs)?
+            };
             Ok(batch
                 .distances
                 .iter()
@@ -249,12 +243,18 @@ fn run_bucket_inner(
             .iter()
             .map(|b| match b {
                 Body::Chain { dims } => {
-                    let sol = try_matrix_chain_order(dims)?;
-                    let sim = simulate_chain_array(dims, ChainMapping::Broadcast);
-                    debug_assert_eq!(sim.cost, sol.cost, "array vs DP");
+                    let (cost, steps) = if sim {
+                        let sol = try_matrix_chain_order(dims)?;
+                        let run = simulate_chain_array(dims, ChainMapping::Broadcast);
+                        debug_assert_eq!(run.cost, sol.cost, "array vs DP");
+                        (run.cost, run.finish)
+                    } else {
+                        let sol = sdp_backend::chain_direct(dims)?;
+                        (sol.cost, sdp_backend::chain_steps(dims.len() - 1))
+                    };
                     Ok(Json::object()
-                        .with("cost", cost_to_json(sim.cost))
-                        .with("steps", sim.finish))
+                        .with("cost", cost_to_json(cost))
+                        .with("steps", steps))
                 }
                 _ => unreachable!("bucket is single-class"),
             })
@@ -263,12 +263,18 @@ fn run_bucket_inner(
             .iter()
             .map(|b| match b {
                 Body::Bst { freq } => {
-                    let sol = try_optimal_bst(freq)?;
+                    let sol = if sim {
+                        try_optimal_bst(freq)?
+                    } else {
+                        sdp_backend::bst_direct(freq)?
+                    };
                     Ok(Json::object().with("cost", cost_to_json(sol.cost)))
                 }
                 _ => unreachable!("bucket is single-class"),
             })
             .collect()),
+        // AND/OR evaluation is already a direct graph walk on either
+        // backend; `choose` never routes it to `Direct`.
         Class::AndOr => Ok(bodies
             .iter()
             .map(|b| match b {
@@ -279,14 +285,13 @@ fn run_bucket_inner(
             })
             .collect()),
         Class::Align => {
-            let pairs: Vec<(&[u8], &[u8])> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Align { a, b, .. } => (a.as_slice(), b.as_slice()),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sw_mesh_batch(&pairs, &align_scoring(bodies))?;
+            let pairs = string_pairs(bodies);
+            let scoring = align_scoring(bodies);
+            let batch = if sim {
+                sw_mesh_batch(&pairs, &scoring)?
+            } else {
+                sdp_backend::sw_direct_batch(&pairs, &scoring)?
+            };
             Ok(batch
                 .scores
                 .iter()
@@ -296,7 +301,11 @@ fn run_bucket_inner(
         }
         Class::Knapsack => {
             let (items, capacity) = knapsack_bucket(bodies);
-            let batch = knapsack_array_batch(&items, capacity)?;
+            let batch = if sim {
+                knapsack_array_batch(&items, capacity)?
+            } else {
+                sdp_backend::knapsack_direct_batch(&items, capacity)?
+            };
             Ok(batch
                 .bests
                 .iter()
@@ -307,133 +316,26 @@ fn run_bucket_inner(
     }
 }
 
-/// The direct-solver mirror of [`run_bucket_inner`]: same payload
-/// construction, same typed errors, answers from `sdp-backend`.
-#[allow(clippy::type_complexity)]
-fn run_bucket_direct_inner(
-    class: Class,
-    bodies: &[Body],
-) -> Result<Vec<Result<Json, SdpError>>, SdpError> {
-    match class {
-        Class::Multistage1 => {
-            let strings: Vec<&[Matrix<MinPlus>]> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Multistage { mats, .. } => mats.as_slice(),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sdp_backend::design1_direct_batch(string_m(strings[0]), &strings)?;
-            Ok(batch
-                .values
-                .iter()
-                .map(|vals| Ok(values_json(vals)))
-                .collect())
-        }
-        Class::Multistage2 => {
-            let strings: Vec<&[Matrix<MinPlus>]> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Multistage { mats, .. } => mats.as_slice(),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sdp_backend::design2_direct_batch(string_m(strings[0]), &strings)?;
-            Ok(batch
-                .values
-                .iter()
-                .zip(&batch.paths)
-                .map(|(vals, path)| {
-                    let path_json = match path {
-                        Some(p) => Json::Array(p.iter().map(|&v| Json::from(v)).collect()),
-                        None => Json::Null,
-                    };
-                    Ok(values_json(vals).with("path", path_json))
-                })
-                .collect())
-        }
-        Class::Matmul => {
-            let pairs: Vec<(Matrix<MinPlus>, Matrix<MinPlus>)> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Matmul { a, b } => (a.clone(), b.clone()),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sdp_backend::matmul_direct_batch(&pairs)?;
-            Ok(batch
-                .products
-                .iter()
-                .map(|p| Ok(Json::object().with("product", matrix_to_json(p))))
-                .collect())
-        }
-        Class::Edit => {
-            let pairs: Vec<(&[u8], &[u8])> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Edit { a, b } => (a.as_slice(), b.as_slice()),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sdp_backend::edit_direct_batch(&pairs)?;
-            Ok(batch
-                .distances
-                .iter()
-                .map(|&d| Ok(Json::object().with("distance", d)))
-                .collect())
-        }
-        Class::Chain => Ok(bodies
-            .iter()
-            .map(|b| match b {
-                Body::Chain { dims } => {
-                    let sol = sdp_backend::chain_direct(dims)?;
-                    Ok(Json::object()
-                        .with("cost", cost_to_json(sol.cost))
-                        .with("steps", sdp_backend::chain_steps(dims.len() - 1)))
-                }
-                _ => unreachable!("bucket is single-class"),
-            })
-            .collect()),
-        Class::Bst => Ok(bodies
-            .iter()
-            .map(|b| match b {
-                Body::Bst { freq } => {
-                    let sol = sdp_backend::bst_direct(freq)?;
-                    Ok(Json::object().with("cost", cost_to_json(sol.cost)))
-                }
-                _ => unreachable!("bucket is single-class"),
-            })
-            .collect()),
-        // AND/OR evaluation is already a direct graph walk; `choose`
-        // never dispatches it here.
-        Class::AndOr => run_bucket_inner(class, bodies),
-        Class::Align => {
-            let pairs: Vec<(&[u8], &[u8])> = bodies
-                .iter()
-                .map(|b| match b {
-                    Body::Align { a, b, .. } => (a.as_slice(), b.as_slice()),
-                    _ => unreachable!("bucket is single-class"),
-                })
-                .collect();
-            let batch = sdp_backend::sw_direct_batch(&pairs, &align_scoring(bodies))?;
-            Ok(batch
-                .scores
-                .iter()
-                .zip(&batch.ends)
-                .map(|(&score, &end)| Ok(align_json(score, end)))
-                .collect())
-        }
-        Class::Knapsack => {
-            let (items, capacity) = knapsack_bucket(bodies);
-            let batch = sdp_backend::knapsack_direct_batch(&items, capacity)?;
-            Ok(batch
-                .bests
-                .iter()
-                .zip(&batch.per_capacity)
-                .map(|(&best, row)| Ok(knapsack_json(best, row)))
-                .collect())
-        }
-    }
+/// The operand pairs of an edit or align bucket, in bucket order.
+fn string_pairs(bodies: &[Body]) -> Vec<(&[u8], &[u8])> {
+    bodies
+        .iter()
+        .map(|b| match b {
+            Body::Edit { a, b } | Body::Align { a, b, .. } => (a.as_slice(), b.as_slice()),
+            _ => unreachable!("bucket is single-class"),
+        })
+        .collect()
+}
+
+/// The matrix strings of a multistage bucket, in bucket order.
+fn multistage_strings(bodies: &[Body]) -> Vec<&[Matrix<MinPlus>]> {
+    bodies
+        .iter()
+        .map(|b| match b {
+            Body::Multistage { mats, .. } => mats.as_slice(),
+            _ => unreachable!("bucket is single-class"),
+        })
+        .collect()
 }
 
 /// Splits a knapsack bucket into the batch engine's argument shape (the
@@ -477,9 +379,9 @@ mod tests {
             b("mitten", "fitting"),
             b("kitten", "kitting"),
         ];
-        let batched = run_bucket(Class::Edit, &bucket);
+        let batched = run_bucket_on(EngineKind::Sim, Class::Edit, &bucket);
         for (i, body) in bucket.iter().enumerate() {
-            let single = run_bucket(Class::Edit, std::slice::from_ref(body));
+            let single = run_bucket_on(EngineKind::Sim, Class::Edit, std::slice::from_ref(body));
             assert_eq!(batched[i], single[0], "instance {i}");
         }
     }
@@ -493,9 +395,9 @@ mod tests {
                 design: if design == Class::Multistage1 { 1 } else { 2 },
                 mats: mats.clone(),
             };
-            let batched = run_bucket(design, &[mk(&s1), mk(&s2)]);
-            let a = run_bucket(design, &[mk(&s1)]);
-            let b = run_bucket(design, &[mk(&s2)]);
+            let batched = run_bucket_on(EngineKind::Sim, design, &[mk(&s1), mk(&s2)]);
+            let a = run_bucket_on(EngineKind::Sim, design, &[mk(&s1)]);
+            let b = run_bucket_on(EngineKind::Sim, design, &[mk(&s2)]);
             assert_eq!(batched[0], a[0]);
             assert_eq!(batched[1], b[0]);
         }
@@ -513,7 +415,7 @@ mod tests {
         };
         // A mixed-shape bucket can only arise through a coalescing bug;
         // the engine still must fail typed, for every rider.
-        let out = run_bucket(Class::Edit, &[b1, b2]);
+        let out = run_bucket_on(EngineKind::Sim, Class::Edit, &[b1, b2]);
         assert_eq!(out.len(), 2);
         for r in out {
             assert_eq!(r, Err(SdpError::BatchShapeMismatch { index: 1 }));
@@ -663,9 +565,9 @@ mod tests {
             align(b"acacacta", b"agcacaca"),
             align(b"aaaaaaaa", b"tttttttt"),
         ];
-        let batched = run_bucket(Class::Align, &bucket);
+        let batched = run_bucket_on(EngineKind::Sim, Class::Align, &bucket);
         for (i, body) in bucket.iter().enumerate() {
-            let single = run_bucket(Class::Align, std::slice::from_ref(body));
+            let single = run_bucket_on(EngineKind::Sim, Class::Align, std::slice::from_ref(body));
             assert_eq!(batched[i], single[0], "align instance {i}");
         }
         assert_eq!(
@@ -685,9 +587,10 @@ mod tests {
             capacity: 7,
         };
         let bucket = vec![sack(&[(1, 1), (3, 4), (4, 5), (5, 7)]), sack(&[(2, 3)])];
-        let batched = run_bucket(Class::Knapsack, &bucket);
+        let batched = run_bucket_on(EngineKind::Sim, Class::Knapsack, &bucket);
         for (i, body) in bucket.iter().enumerate() {
-            let single = run_bucket(Class::Knapsack, std::slice::from_ref(body));
+            let single =
+                run_bucket_on(EngineKind::Sim, Class::Knapsack, std::slice::from_ref(body));
             assert_eq!(batched[i], single[0], "knapsack instance {i}");
         }
         assert_eq!(
@@ -698,7 +601,8 @@ mod tests {
 
     #[test]
     fn chain_and_bst_and_andor_run_singly() {
-        let out = run_bucket(
+        let out = run_bucket_on(
+            EngineKind::Sim,
             Class::Chain,
             &[Body::Chain {
                 dims: vec![10, 20, 50, 1],
@@ -706,7 +610,8 @@ mod tests {
         );
         let payload = out[0].as_ref().unwrap().render();
         assert!(payload.contains("\"cost\":"));
-        let out = run_bucket(
+        let out = run_bucket_on(
+            EngineKind::Sim,
             Class::Bst,
             &[Body::Bst {
                 freq: vec![3, 1, 4],
@@ -717,7 +622,11 @@ mod tests {
         let l1 = g.add_leaf(0, Cost::new(2));
         let l2 = g.add_leaf(0, Cost::new(5));
         let a = g.add_and(1, vec![l1, l2], Cost::new(1));
-        let out = run_bucket(Class::AndOr, &[Body::AndOr { graph: g, root: a }]);
+        let out = run_bucket_on(
+            EngineKind::Sim,
+            Class::AndOr,
+            &[Body::AndOr { graph: g, root: a }],
+        );
         assert_eq!(out[0].as_ref().unwrap().render(), r#"{"value":8}"#);
     }
 }

@@ -13,10 +13,9 @@
 //! is one load).
 //!
 //! Two exporters share the counters:
-//! - [`Metrics::to_json`]: the `metrics` request's JSON document — a
-//!   strict superset of the PR 5 schema.  Every pre-existing field is
-//!   kept (including the `17_plus` batch-overflow key, now twinned
-//!   with the explicit `gt_16` label); new fields are appended.
+//! - [`Metrics::to_json`]: the `metrics` request's JSON document.
+//!   Fields are only ever appended; the one removal is the legacy
+//!   `17_plus` batch-overflow twin of `gt_16`.
 //! - [`Metrics::render_prometheus`]: a Prometheus text exposition for
 //!   the `metrics_text` request.
 //!
@@ -46,9 +45,8 @@ use std::time::Duration;
 pub const PHASES: [&str; 4] = ["coalesce", "queue", "engine", "respond"];
 
 /// JSON labels for the batch-size histogram buckets, aligned with the
-/// log₂ bounds 1, 2, 4, 8, 16 and the unbounded overflow.  The last
-/// bucket carries the explicit `gt_16` label (the PR 5 document also
-/// keeps its historical `17_plus` spelling for compatibility).
+/// log₂ bounds 1, 2, 4, 8, 16 and the unbounded overflow, which
+/// carries the explicit `gt_16` label.
 pub const BATCH_BUCKET_LABELS: [&str; 6] = ["1", "2", "3_4", "5_8", "9_16", "gt_16"];
 
 /// Slowest-requests ring capacity.
@@ -94,9 +92,11 @@ pub struct Metrics {
     degraded: Arc<Counter>,
     connections: Arc<Gauge>,
     reaped: Arc<Counter>,
-    /// Accepted sockets dropped because post-accept setup
-    /// (`set_nonblocking`) failed — without this counter such streams
-    /// vanished with no metric or log.
+    /// Failed accepts: `accept` itself erring (e.g. EMFILE/ENFILE when
+    /// descriptors run out; the acceptor backs off one tick per
+    /// failure) and accepted sockets dropped because post-accept setup
+    /// (`set_nonblocking`) failed — without this counter both vanished
+    /// with no metric or log.
     accept_failures: Arc<Counter>,
     chaos: Vec<Arc<Counter>>,
     dispatches: Arc<Counter>,
@@ -265,9 +265,8 @@ impl Metrics {
         c.expired_wait.record(waited.as_micros() as u64);
     }
 
-    /// Records an accepted socket dropped because post-accept setup
-    /// failed (satellite of the event-loop rewrite: these used to
-    /// vanish silently).
+    /// Records a failed accept: an `accept` error or an accepted socket
+    /// dropped because post-accept setup failed.
     pub fn accept_failed(&self) {
         self.accept_failures.inc();
     }
@@ -439,24 +438,14 @@ impl Metrics {
     }
 
     /// Renders the full JSON snapshot; `queue_depth` is sampled by the
-    /// caller from the admission queue at render time.  The document
-    /// is a strict superset of the PR 5 `metrics` schema.
+    /// caller from the admission queue at render time.
     pub fn to_json(&self, queue_depth: usize) -> Json {
         // Global batch-size histogram = sum of the per-class ones.
         let mut global_batches = HistogramSnapshot::empty(BATCH_BUCKET_LABELS.len());
         for c in &self.per_class {
             global_batches.merge(&c.batch_sizes.snapshot());
         }
-        // The global document keeps PR 5's `17_plus` overflow spelling
-        // in its original position and twins it with the explicit
-        // `gt_16` label (same count, deliberate alias).
-        let mut hist = Self::batch_hist_json(&global_batches);
-        let Json::Object(fields) = &mut hist else {
-            unreachable!()
-        };
-        let gt16 = fields.pop().expect("gt_16 present");
-        fields.push(("17_plus".to_string(), gt16.1.clone()));
-        fields.push(gt16);
+        let hist = Self::batch_hist_json(&global_batches);
 
         let hits = self.cache_hits.get();
         let misses = self.cache_misses.get();
@@ -775,13 +764,8 @@ mod tests {
             .map(|k| json::as_i64(json::get(hist, k).unwrap()).unwrap())
             .sum();
         assert_eq!(total, 10);
-        // The overflow bucket is explicitly labelled, and the legacy
-        // spelling reports the same count.
+        // The overflow bucket is explicitly labelled.
         assert_eq!(json::as_i64(json::get(hist, "gt_16").unwrap()), Some(2));
-        assert_eq!(
-            json::get(hist, "17_plus").and_then(json::as_i64),
-            json::get(hist, "gt_16").and_then(json::as_i64),
-        );
         assert_eq!(m.max_coalesced(), 100);
         // The per-class histogram sees the same sizes.
         let classes = json::get(&doc, "classes").unwrap();
@@ -806,9 +790,10 @@ mod tests {
         let chain = json::get(json::get(&doc, "classes").unwrap(), "chain").unwrap();
         let p50 = json::get(chain, "p50_ms").unwrap();
         let p99 = json::get(chain, "p99_ms").unwrap();
-        // 100 µs ∈ (64,128] → 0.128 ms; 50 ms ∈ (32768,65536] → 65.536 ms.
+        // 100 µs ∈ (64,128] → 0.128 ms; 50 ms ∈ (32768,65536], whose
+        // bound clamps to the observed max → 50 ms.
         assert_eq!(p50, &Json::Float(0.128));
-        assert_eq!(p99, &Json::Float(65.536));
+        assert_eq!(p99, &Json::Float(50.0));
         let max = json::get(chain, "max_ms").unwrap();
         assert_eq!(max, &Json::Float(50.0), "max is exact, not bucketed");
     }

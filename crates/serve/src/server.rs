@@ -57,6 +57,8 @@ use std::time::{Duration, Instant};
 
 /// The acceptor's poll timeout: bounds how long shutdown can go
 /// unobserved, not accept latency (readiness wakes the poll early).
+/// Also the back-off after a failed `accept`, so descriptor exhaustion
+/// costs at most one counted failure per tick.
 const ACCEPT_TICK: Duration = Duration::from_millis(5);
 
 /// Parsed-but-unprocessed request lines a connection may buffer before
@@ -153,8 +155,9 @@ impl ServerHandle {
         self.shared.metrics.reaped_count()
     }
 
-    /// Accepted sockets dropped because post-accept setup failed
-    /// (test hook).
+    /// Failed accepts: `accept` errors (descriptor exhaustion) plus
+    /// accepted sockets dropped because post-accept setup failed (test
+    /// hook).
     pub fn accept_failures(&self) -> u64 {
         self.shared.metrics.accept_failures_count()
     }
@@ -326,8 +329,17 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, routes: Vec<WorkerRou
                     lock_recover(&route.conns).push(stream);
                     route.wake.wake();
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => continue 'outer,
-                Err(_) => continue 'outer,
+                Err(e) => {
+                    // A real accept error (EMFILE/ENFILE: out of
+                    // descriptors) leaves the listener readable, so an
+                    // immediate re-poll would spin: count it and back
+                    // off one tick instead.
+                    if e.kind() != ErrorKind::WouldBlock {
+                        shared.metrics.accept_failed();
+                        thread::sleep(ACCEPT_TICK);
+                    }
+                    continue 'outer;
+                }
             }
         }
     }

@@ -8,8 +8,8 @@
 
 use crate::instrument::Stats;
 use crate::pe::ProcessingElement;
-use sdp_fault::{FaultInjector, FaultyWord, SdpError};
-use sdp_trace::{Event, NullSink, TraceSink};
+use sdp_fault::{FaultInjector, FaultyWord, NoFaults, SdpError};
+use sdp_trace::{Event, TraceSink};
 
 /// A linear systolic array of identical PEs (`P₁ … Pₘ` in the paper),
 /// connected left-to-right, with full cycle/utilization instrumentation.
@@ -106,81 +106,31 @@ impl<P: ProcessingElement> LinearArray<P> {
     ///
     /// * `head_in` — the word presented on the head (input) link this cycle;
     /// * `ext` — closure giving PE `i`'s external input this cycle;
-    /// * `ctrl` — closure giving PE `i`'s control word this cycle.
+    /// * `ctrl` — closure giving PE `i`'s control word this cycle;
+    /// * `injector` — decides, per PE and cycle, whether the emitted word
+    ///   is corrupted.  Bypassed PEs are wires and can never be corrupted
+    ///   (the spare path routes around the faulty latch);
+    /// * `sink` — observes the clock edge, per-PE activity, latch commits,
+    ///   and host I/O words.
+    ///
+    /// With [`sdp_fault::NoFaults`] and [`sdp_trace::NullSink`] the fault
+    /// hook and every `sink.record` call (and the event construction
+    /// feeding it) are guarded by `F::ENABLED`/`S::ENABLED` and compile
+    /// away, so the plain path pays for neither.
     ///
     /// Returns the word emitted by the tail PE this cycle (which is also
     /// latched and visible via [`tail`](Self::tail) until the next cycle).
-    pub fn cycle(
+    pub fn cycle<S: TraceSink, F: FaultInjector>(
         &mut self,
         head_in: Option<P::Flow>,
-        ext: impl FnMut(usize) -> P::Ext,
-        ctrl: impl FnMut(usize) -> P::Ctrl,
-    ) -> Option<P::Flow> {
-        self.cycle_traced(head_in, ext, ctrl, &mut NullSink)
-    }
-
-    /// [`cycle`](Self::cycle) with an event sink observing the clock
-    /// edge, per-PE activity, latch commits, and host I/O words.
-    ///
-    /// With [`NullSink`] every `sink.record` call (and the event
-    /// construction feeding it) is guarded by `S::ENABLED` and compiles
-    /// away, so the untraced path is identical to the pre-tracing code.
-    pub fn cycle_traced<S: TraceSink>(
-        &mut self,
-        head_in: Option<P::Flow>,
-        ext: impl FnMut(usize) -> P::Ext,
-        ctrl: impl FnMut(usize) -> P::Ctrl,
-        sink: &mut S,
-    ) -> Option<P::Flow> {
-        self.cycle_core(head_in, ext, ctrl, sink, |_, _, out, _| out)
-    }
-
-    /// [`cycle_traced`](Self::cycle_traced) with a [`FaultInjector`]
-    /// deciding, per PE and cycle, whether the emitted word is
-    /// corrupted.  With [`sdp_fault::NoFaults`] the hook folds away and
-    /// this is exactly `cycle_traced`; bypassed PEs are wires and can
-    /// never be corrupted (the spare path routes around the faulty
-    /// latch).
-    pub fn cycle_fault_traced<S: TraceSink, F: FaultInjector>(
-        &mut self,
-        head_in: Option<P::Flow>,
-        ext: impl FnMut(usize) -> P::Ext,
-        ctrl: impl FnMut(usize) -> P::Ctrl,
+        mut ext: impl FnMut(usize) -> P::Ext,
+        mut ctrl: impl FnMut(usize) -> P::Ctrl,
         injector: &mut F,
         sink: &mut S,
     ) -> Option<P::Flow>
     where
         P::Flow: FaultyWord,
     {
-        self.cycle_core(head_in, ext, ctrl, sink, |pe, cycle, out, sink| {
-            if F::ENABLED {
-                if let Some(word) = out {
-                    if let Some(fault) = injector.pe_fault(pe, cycle) {
-                        if S::ENABLED {
-                            sink.record(Event::FaultInjected {
-                                kind: fault.kind(),
-                                site: pe,
-                            });
-                        }
-                        return Some(word.apply(fault));
-                    }
-                }
-            }
-            out
-        })
-    }
-
-    /// The one true cycle body: `corrupt` observes each non-bypassed
-    /// PE's output word and may replace it (identity on the fault-free
-    /// path, where it inlines to nothing).
-    fn cycle_core<S: TraceSink>(
-        &mut self,
-        head_in: Option<P::Flow>,
-        mut ext: impl FnMut(usize) -> P::Ext,
-        mut ctrl: impl FnMut(usize) -> P::Ctrl,
-        sink: &mut S,
-        mut corrupt: impl FnMut(u32, u64, Option<P::Flow>, &mut S) -> Option<P::Flow>,
-    ) -> Option<P::Flow> {
         let m = self.pes.len();
         let now = self.stats.cycles();
         if S::ENABLED {
@@ -204,8 +154,21 @@ impl<P: ProcessingElement> LinearArray<P> {
             let (out, busy) = if bypassed {
                 (inbound, false)
             } else {
-                let stepped = pe.step(inbound, ext(i), ctrl(i));
-                (corrupt(i as u32, now, stepped, &mut *sink), pe.was_busy())
+                let mut out = pe.step(inbound, ext(i), ctrl(i));
+                if F::ENABLED {
+                    if let Some(word) = out {
+                        if let Some(fault) = injector.pe_fault(i as u32, now) {
+                            if S::ENABLED {
+                                sink.record(Event::FaultInjected {
+                                    kind: fault.kind(),
+                                    site: i as u32,
+                                });
+                            }
+                            out = Some(word.apply(fault));
+                        }
+                    }
+                }
+                (out, pe.was_busy())
             };
             self.links_next[i + 1] = out;
             if busy {
@@ -244,32 +207,22 @@ impl<P: ProcessingElement> LinearArray<P> {
         self.links[m]
     }
 
-    /// Runs `n` cycles with no head input and constant ext/ctrl, draining
-    /// the pipeline; collects every word emitted by the tail.
-    pub fn drain(
-        &mut self,
-        n: usize,
-        ext: impl FnMut(usize) -> P::Ext,
-        ctrl: impl FnMut(usize) -> P::Ctrl,
-    ) -> Vec<P::Flow> {
-        self.drain_traced(n, ext, ctrl, &mut NullSink)
-    }
-
-    /// [`drain`](Self::drain) with an event sink.
-    pub fn drain_traced<S: TraceSink>(
+    /// Runs `n` fault-free cycles with no head input and constant
+    /// ext/ctrl, draining the pipeline; collects every word emitted by
+    /// the tail.
+    pub fn drain<S: TraceSink>(
         &mut self,
         n: usize,
         mut ext: impl FnMut(usize) -> P::Ext,
         mut ctrl: impl FnMut(usize) -> P::Ctrl,
         sink: &mut S,
-    ) -> Vec<P::Flow> {
-        let mut out = Vec::new();
-        for _ in 0..n {
-            if let Some(w) = self.cycle_traced(None, &mut ext, &mut ctrl, sink) {
-                out.push(w);
-            }
-        }
-        out
+    ) -> Vec<P::Flow>
+    where
+        P::Flow: FaultyWord,
+    {
+        (0..n)
+            .filter_map(|_| self.cycle(None, &mut ext, &mut ctrl, &mut NoFaults, sink))
+            .collect()
     }
 }
 
@@ -277,6 +230,7 @@ impl<P: ProcessingElement> LinearArray<P> {
 mod tests {
     use super::*;
     use crate::pe::ProcessingElement;
+    use sdp_trace::NullSink;
 
     /// Pass-through PE used to verify one-cycle-per-hop latching.
     #[derive(Default)]
@@ -322,9 +276,18 @@ mod tests {
     fn word_takes_one_cycle_per_hop() {
         let mut arr = wires(3);
         // Inject 7 on cycle 0; it must appear at the tail after 3 cycles.
-        assert_eq!(arr.cycle(Some(7), |_| (), |_| ()), None);
-        assert_eq!(arr.cycle(None, |_| (), |_| ()), None);
-        assert_eq!(arr.cycle(None, |_| (), |_| ()), Some(7));
+        assert_eq!(
+            arr.cycle(Some(7), |_| (), |_| (), &mut NoFaults, &mut NullSink),
+            None
+        );
+        assert_eq!(
+            arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut NullSink),
+            None
+        );
+        assert_eq!(
+            arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut NullSink),
+            Some(7)
+        );
     }
 
     #[test]
@@ -333,20 +296,20 @@ mod tests {
         let mut out = Vec::new();
         let feed = [Some(1), Some(2), None, Some(3)];
         for f in feed {
-            if let Some(w) = arr.cycle(f, |_| (), |_| ()) {
+            if let Some(w) = arr.cycle(f, |_| (), |_| (), &mut NoFaults, &mut NullSink) {
                 out.push(w);
             }
         }
-        out.extend(arr.drain(4, |_| (), |_| ()));
+        out.extend(arr.drain(4, |_| (), |_| (), &mut NullSink));
         assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]
     fn stats_count_cycles_and_io() {
         let mut arr = wires(2);
-        arr.cycle(Some(1), |_| (), |_| ());
-        arr.cycle(None, |_| (), |_| ());
-        arr.cycle(None, |_| (), |_| ());
+        arr.cycle(Some(1), |_| (), |_| (), &mut NoFaults, &mut NullSink);
+        arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut NullSink);
+        arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut NullSink);
         let s = arr.stats();
         assert_eq!(s.cycles(), 3);
         assert_eq!(s.input_words(), 1);
@@ -356,8 +319,8 @@ mod tests {
     #[test]
     fn busy_accounting_per_pe() {
         let mut arr = wires(2);
-        arr.cycle(Some(1), |_| (), |_| ()); // PE0 busy
-        arr.cycle(None, |_| (), |_| ()); // PE1 busy
+        arr.cycle(Some(1), |_| (), |_| (), &mut NoFaults, &mut NullSink); // PE0 busy
+        arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut NullSink); // PE1 busy
         let s = arr.stats();
         assert_eq!(s.busy(0), 1);
         assert_eq!(s.busy(1), 1);
@@ -368,8 +331,20 @@ mod tests {
     #[test]
     fn ext_inputs_are_routed_per_pe() {
         let mut arr = LinearArray::new(vec![Acc::default(), Acc::default()]);
-        arr.cycle(None, |i| (i as u64 + 1) * 10, |_| ());
-        arr.cycle(None, |i| (i as u64 + 1) * 10, |_| ());
+        arr.cycle(
+            None,
+            |i| (i as u64 + 1) * 10,
+            |_| (),
+            &mut NoFaults,
+            &mut NullSink,
+        );
+        arr.cycle(
+            None,
+            |i| (i as u64 + 1) * 10,
+            |_| (),
+            &mut NoFaults,
+            &mut NullSink,
+        );
         assert_eq!(arr.pes()[0].sum, 20);
         assert_eq!(arr.pes()[1].sum, 40);
     }
@@ -385,9 +360,9 @@ mod tests {
         use sdp_trace::CountingSink;
         let mut arr = wires(3);
         let mut sink = CountingSink::default();
-        arr.cycle_traced(Some(7), |_| (), |_| (), &mut sink);
-        arr.cycle_traced(None, |_| (), |_| (), &mut sink);
-        arr.cycle_traced(None, |_| (), |_| (), &mut sink);
+        arr.cycle(Some(7), |_| (), |_| (), &mut NoFaults, &mut sink);
+        arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut sink);
+        arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut sink);
         assert_eq!(sink.cycles, 3);
         assert_eq!(sink.pe_fires, 9); // 3 PEs × 3 cycles
         assert_eq!(sink.busy_fires, 3); // the word visits each PE once
@@ -404,19 +379,19 @@ mod tests {
     #[test]
     fn idle_cycles_count_as_stalls() {
         let mut arr = wires(2);
-        arr.cycle(Some(1), |_| (), |_| ());
-        arr.cycle(None, |_| (), |_| ());
-        arr.cycle(None, |_| (), |_| ()); // word gone: nobody busy
-        arr.cycle(None, |_| (), |_| ());
+        arr.cycle(Some(1), |_| (), |_| (), &mut NoFaults, &mut NullSink);
+        arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut NullSink);
+        arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut NullSink); // word gone: nobody busy
+        arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut NullSink);
         assert_eq!(arr.stats().stall_cycles(), 2);
     }
 
     #[test]
     fn tail_latch_holds_until_next_cycle() {
         let mut arr = wires(1);
-        arr.cycle(Some(9), |_| (), |_| ());
+        arr.cycle(Some(9), |_| (), |_| (), &mut NoFaults, &mut NullSink);
         assert_eq!(arr.tail(), Some(9));
-        arr.cycle(None, |_| (), |_| ());
+        arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut NullSink);
         assert_eq!(arr.tail(), None);
     }
 
@@ -456,8 +431,8 @@ mod tests {
         arr.set_bypass(1, true);
         assert!(arr.is_bypassed(1));
         let mut outs = Vec::new();
-        outs.extend(arr.cycle(Some(0), |_| (), |_| ()));
-        outs.extend(arr.drain(4, |_| (), |_| ()));
+        outs.extend(arr.cycle(Some(0), |_| (), |_| (), &mut NoFaults, &mut NullSink));
+        outs.extend(arr.drain(4, |_| (), |_| (), &mut NullSink));
         // Latency is still one cycle per column, but only two PEs add 1.
         assert_eq!(outs, vec![2]);
         assert_eq!(arr.stats().busy(1), 0);
@@ -475,8 +450,8 @@ mod tests {
         let mut inj = PlanInjector::new(plan);
         let mut sink = CountingSink::default();
         let mut arr = wires(2);
-        arr.cycle_fault_traced(Some(4u32), |_| (), |_| (), &mut inj, &mut sink);
-        arr.cycle_fault_traced(None, |_| (), |_| (), &mut inj, &mut sink);
+        arr.cycle(Some(4u32), |_| (), |_| (), &mut inj, &mut sink);
+        arr.cycle(None, |_| (), |_| (), &mut inj, &mut sink);
         let out = arr.tail();
         assert_eq!(out, Some(5)); // bit 0 of 4 flipped once
         assert_eq!(sink.faults_injected, 1);
@@ -495,30 +470,11 @@ mod tests {
         arr.set_bypass(1, true);
         let mut out = Vec::new();
         for head in [Some(4u32), None, None, None] {
-            if let Some(w) =
-                arr.cycle_fault_traced(head, |_| (), |_| (), &mut inj, &mut sdp_trace::NullSink)
-            {
+            if let Some(w) = arr.cycle(head, |_| (), |_| (), &mut inj, &mut sdp_trace::NullSink) {
                 out.push(w);
             }
         }
         // The stuck latch is routed around: the word survives intact.
         assert_eq!(out, vec![4]);
-    }
-
-    #[test]
-    fn no_faults_injector_is_identity() {
-        use sdp_fault::NoFaults;
-        use sdp_trace::CountingSink;
-        let mut plain = wires(3);
-        let mut faulty = wires(3);
-        let mut sink_a = CountingSink::default();
-        let mut sink_b = CountingSink::default();
-        for head in [Some(7u32), None, Some(9), None] {
-            plain.cycle_traced(head, |_| (), |_| (), &mut sink_a);
-            faulty.cycle_fault_traced(head, |_| (), |_| (), &mut NoFaults, &mut sink_b);
-        }
-        assert_eq!(plain.tail(), faulty.tail());
-        assert_eq!(sink_a, sink_b);
-        assert_eq!(plain.stats(), faulty.stats());
     }
 }

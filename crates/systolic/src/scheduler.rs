@@ -6,9 +6,9 @@
 //! identical systolic arrays performs one multiply in `T₁` time units.
 //! The paper analyses this model three ways, all reproduced here:
 //!
-//! * [`eq29_time`] — the paper's exact total-time formula (Eq. 29), the
+//! * [`try_eq29_time`] — the paper's exact total-time formula (Eq. 29), the
 //!   function numerically evaluated to produce **Figure 6**;
-//! * [`TreeScheduler::simulate`] — a synchronous-round greedy simulation of
+//! * [`TreeScheduler::try_simulate`] — a synchronous-round greedy simulation of
 //!   the same model (operands pair up, at most `K` products per round),
 //!   used to cross-check the formula and to measure PU for
 //!   **Proposition 1**;
@@ -19,7 +19,7 @@
 use sdp_fault::SdpError;
 use sdp_trace::chrome::ChromeTrace;
 use sdp_trace::json::Json;
-use sdp_trace::{Event, NullSink, TraceSink};
+use sdp_trace::{Event, TraceSink};
 
 /// The outcome of scheduling one divide-and-conquer reduction.
 #[derive(Clone, Debug, PartialEq)]
@@ -92,28 +92,13 @@ impl TreeScheduler {
     /// Greedy synchronous-round simulation: `R` operands are live
     /// (initially the `N` leaves); each round at most `min(K, ⌊R/2⌋)`
     /// disjoint pairs are multiplied, each consuming two operands and
-    /// producing one.  Runs until a single result remains.
-    pub fn simulate(&self, n: u64, k: u64) -> Schedule {
-        self.simulate_traced(n, k, &mut NullSink)
-    }
-
-    /// [`simulate`](Self::simulate) with an event sink: each round emits
-    /// a `CycleStart`, and every multiply task emits a matching
-    /// `TaskStart`/`TaskEnd` pair on its array (tasks are numbered in
-    /// execution order).
-    pub fn simulate_traced<S: TraceSink>(&self, n: u64, k: u64, sink: &mut S) -> Schedule {
-        self.try_simulate_traced(n, k, sink)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`simulate`](Self::simulate) that reports malformed parameters
-    /// as a typed error instead of panicking.
-    pub fn try_simulate(&self, n: u64, k: u64) -> Result<Schedule, SdpError> {
-        self.try_simulate_traced(n, k, &mut NullSink)
-    }
-
-    /// [`simulate_traced`](Self::simulate_traced) with typed errors.
-    pub fn try_simulate_traced<S: TraceSink>(
+    /// producing one.  Runs until a single result remains; `n < 1` or
+    /// `k < 1` is a typed error.
+    ///
+    /// Each round emits a `CycleStart` to `sink`, and every multiply task
+    /// emits a matching `TaskStart`/`TaskEnd` pair on its array (tasks
+    /// are numbered in execution order).
+    pub fn try_simulate<S: TraceSink>(
         &self,
         n: u64,
         k: u64,
@@ -175,16 +160,13 @@ impl TreeScheduler {
 /// phase, shortened by one whenever `K` divides `N` exactly — the source of
 /// the jagged KT² curve in Figure 6.
 ///
+/// `n < 1` or `k < 1` is a typed error.
+///
 /// ```
-/// use sdp_systolic::scheduler::eq29_time;
-/// assert_eq!(eq29_time(4096, 431), 18);
-/// assert_eq!(eq29_time(4096, 465), 17);
+/// use sdp_systolic::scheduler::try_eq29_time;
+/// assert_eq!(try_eq29_time(4096, 431), Ok(18));
+/// assert_eq!(try_eq29_time(4096, 465), Ok(17));
 /// ```
-pub fn eq29_time(n: u64, k: u64) -> u64 {
-    try_eq29_time(n, k).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`eq29_time`] with typed parameter validation.
 pub fn try_eq29_time(n: u64, k: u64) -> Result<u64, SdpError> {
     if n < 1 {
         return Err(SdpError::NoMatrices);
@@ -200,9 +182,10 @@ pub fn try_eq29_time(n: u64, k: u64) -> Result<u64, SdpError> {
     Ok(tc + rem.ilog2() as u64)
 }
 
-/// `K · T²` from the exact formula (Figure 6's y-axis, `T₁ = 1`).
+/// `K · T²` from the exact formula (Figure 6's y-axis, `T₁ = 1`);
+/// panics on `n < 1` or `k < 1`.
 pub fn eq29_kt2(n: u64, k: u64) -> u64 {
-    let t = eq29_time(n, k);
+    let t = try_eq29_time(n, k).unwrap_or_else(|e| panic!("{e}"));
     k * t * t
 }
 
@@ -262,15 +245,9 @@ impl DagSchedule {
 pub struct DagScheduler;
 
 impl DagScheduler {
-    /// Schedules `tasks` onto `k` workers; returns the full schedule.
-    pub fn schedule(&self, tasks: &[DagTask], k: usize) -> DagSchedule {
-        self.try_schedule(tasks, k)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`schedule`](Self::schedule) that reports a cyclic graph, a bad
-    /// dependency index, or zero workers as a typed error instead of
-    /// panicking.
+    /// Schedules `tasks` onto `k` workers and returns the full
+    /// schedule; a cyclic graph, a bad dependency index, or zero workers
+    /// is a typed error.
     pub fn try_schedule(&self, tasks: &[DagTask], k: usize) -> Result<DagSchedule, SdpError> {
         if k < 1 {
             return Err(SdpError::BadParameter {
@@ -383,10 +360,11 @@ impl DagScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdp_trace::NullSink;
 
     #[test]
     fn single_matrix_needs_no_work() {
-        let s = TreeScheduler.simulate(1, 4);
+        let s = TreeScheduler.try_simulate(1, 4, &mut NullSink).unwrap();
         assert_eq!(s.rounds, 0);
         assert_eq!(s.total_tasks(), 0);
         assert_eq!(s.processor_utilization(), 1.0);
@@ -394,7 +372,7 @@ mod tests {
 
     #[test]
     fn two_matrices_one_round() {
-        let s = TreeScheduler.simulate(2, 4);
+        let s = TreeScheduler.try_simulate(2, 4, &mut NullSink).unwrap();
         assert_eq!(s.rounds, 1);
         assert_eq!(s.total_tasks(), 1);
     }
@@ -403,7 +381,7 @@ mod tests {
     fn total_tasks_is_n_minus_1() {
         for n in [2u64, 3, 7, 16, 100, 255] {
             for k in [1u64, 2, 5, 64] {
-                let s = TreeScheduler.simulate(n, k);
+                let s = TreeScheduler.try_simulate(n, k, &mut NullSink).unwrap();
                 assert_eq!(s.total_tasks(), n - 1, "n={n} k={k}");
             }
         }
@@ -411,20 +389,22 @@ mod tests {
 
     #[test]
     fn one_array_is_fully_serial() {
-        let s = TreeScheduler.simulate(10, 1);
+        let s = TreeScheduler.try_simulate(10, 1, &mut NullSink).unwrap();
         assert_eq!(s.rounds, 9);
         assert!((s.processor_utilization() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn unlimited_arrays_take_log_rounds() {
-        let s = TreeScheduler.simulate(1024, 1 << 30);
+        let s = TreeScheduler
+            .try_simulate(1024, 1 << 30, &mut NullSink)
+            .unwrap();
         assert_eq!(s.rounds, 10);
     }
 
     #[test]
     fn phases_partition_rounds() {
-        let s = TreeScheduler.simulate(64, 5);
+        let s = TreeScheduler.try_simulate(64, 5, &mut NullSink).unwrap();
         assert_eq!(s.computation_rounds + s.winddown_rounds, s.rounds);
         assert!(s.winddown_rounds >= 1);
     }
@@ -433,17 +413,17 @@ mod tests {
     fn eq29_matches_known_values() {
         // N=4096, K=431: Tc = 4095/431 = 9, rem = 4096+430-3879 = 647,
         // floor(log2 647) = 9, T = 18.
-        assert_eq!(eq29_time(4096, 431), 18);
+        assert_eq!(try_eq29_time(4096, 431).unwrap(), 18);
         // K=465: Tc = 8, rem = 4096+464-3720 = 840, log2 = 9, T = 17.
-        assert_eq!(eq29_time(4096, 465), 17);
+        assert_eq!(try_eq29_time(4096, 465).unwrap(), 17);
     }
 
     #[test]
     fn eq29_edges() {
-        assert_eq!(eq29_time(1, 7), 0);
-        assert_eq!(eq29_time(2, 1), 1);
+        assert_eq!(try_eq29_time(1, 7).unwrap(), 0);
+        assert_eq!(try_eq29_time(2, 1).unwrap(), 1);
         // K >= N: Tc = (8-1)/8 = 0, rem = 8+8-1 = 15, floor(log2 15) = 3.
-        assert_eq!(eq29_time(8, 8), 3);
+        assert_eq!(try_eq29_time(8, 8).unwrap(), 3);
     }
 
     #[test]
@@ -457,8 +437,11 @@ mod tests {
         // couple of rounds across a wide sweep.
         for n in [256u64, 1024, 4096] {
             for k in [3u64, 17, 100, 431, 1000] {
-                let sim = TreeScheduler.simulate(n, k).rounds;
-                let formula = eq29_time(n, k);
+                let sim = TreeScheduler
+                    .try_simulate(n, k, &mut NullSink)
+                    .unwrap()
+                    .rounds;
+                let formula = try_eq29_time(n, k).unwrap();
                 let diff = sim.abs_diff(formula);
                 assert!(diff <= 2, "n={n} k={k} sim={sim} eq29={formula}");
             }
@@ -481,7 +464,7 @@ mod tests {
                 deps: vec![1],
             },
         ];
-        let s = DagScheduler.schedule(&tasks, 4);
+        let s = DagScheduler.try_schedule(&tasks, 4).unwrap();
         assert_eq!(s.makespan, 6);
     }
 
@@ -497,8 +480,8 @@ mod tests {
                 deps: vec![],
             },
         ];
-        assert_eq!(DagScheduler.schedule(&tasks, 2).makespan, 5);
-        assert_eq!(DagScheduler.schedule(&tasks, 1).makespan, 10);
+        assert_eq!(DagScheduler.try_schedule(&tasks, 2).unwrap().makespan, 5);
+        assert_eq!(DagScheduler.try_schedule(&tasks, 1).unwrap().makespan, 10);
     }
 
     #[test]
@@ -525,15 +508,15 @@ mod tests {
             duration: 1,
             deps: vec![4, 5],
         });
-        let s = DagScheduler.schedule(&tasks, 8);
+        let s = DagScheduler.try_schedule(&tasks, 8).unwrap();
         assert_eq!(s.makespan, 3);
-        let sim = TreeScheduler.simulate(8, 8);
+        let sim = TreeScheduler.try_simulate(8, 8, &mut NullSink).unwrap();
         assert_eq!(sim.rounds, 3);
     }
 
     #[test]
     fn dag_empty() {
-        let s = DagScheduler.schedule(&[], 3);
+        let s = DagScheduler.try_schedule(&[], 3).unwrap();
         assert_eq!(s.makespan, 0);
     }
 
@@ -558,15 +541,21 @@ mod tests {
                 deps: vec![],
             }, // filler
         ];
-        let s = DagScheduler.schedule(&tasks, 1);
+        let s = DagScheduler.try_schedule(&tasks, 1).unwrap();
         // chain head must be scheduled first (highest bottom level)
         assert_eq!(s.start[0], 0);
     }
 
     #[test]
     fn pu_decreases_with_more_arrays() {
-        let few = TreeScheduler.simulate(1024, 8).processor_utilization();
-        let many = TreeScheduler.simulate(1024, 512).processor_utilization();
+        let few = TreeScheduler
+            .try_simulate(1024, 8, &mut NullSink)
+            .unwrap()
+            .processor_utilization();
+        let many = TreeScheduler
+            .try_simulate(1024, 512, &mut NullSink)
+            .unwrap()
+            .processor_utilization();
         assert!(few > many);
     }
 
@@ -574,8 +563,8 @@ mod tests {
     fn traced_simulation_matches_untraced() {
         use sdp_trace::CountingSink;
         let mut sink = CountingSink::default();
-        let traced = TreeScheduler.simulate_traced(64, 5, &mut sink);
-        let untraced = TreeScheduler.simulate(64, 5);
+        let traced = TreeScheduler.try_simulate(64, 5, &mut sink).unwrap();
+        let untraced = TreeScheduler.try_simulate(64, 5, &mut NullSink).unwrap();
         assert_eq!(traced, untraced);
         assert_eq!(sink.cycles, traced.rounds);
         assert_eq!(sink.task_starts, traced.total_tasks());
@@ -584,7 +573,7 @@ mod tests {
 
     #[test]
     fn schedule_chrome_trace_has_one_span_per_task() {
-        let s = TreeScheduler.simulate(16, 3);
+        let s = TreeScheduler.try_simulate(16, 3, &mut NullSink).unwrap();
         let trace = s.to_chrome_trace();
         assert_eq!(trace.spans.len() as u64, s.total_tasks());
         // Final round is wind-down (one task left).
@@ -607,7 +596,7 @@ mod tests {
                 deps: vec![0],
             },
         ];
-        let s = DagScheduler.schedule(&tasks, 2);
+        let s = DagScheduler.try_schedule(&tasks, 2).unwrap();
         let trace = s.to_chrome_trace(&tasks);
         assert_eq!(trace.spans.len(), 2);
         assert_eq!(trace.spans[1].ts, s.start[1]);
@@ -645,8 +634,14 @@ mod tests {
 
     #[test]
     fn tree_zero_arrays_is_a_typed_error_not_a_panic() {
-        assert_eq!(TreeScheduler.try_simulate(8, 0), Err(SdpError::NoArrays));
-        assert_eq!(TreeScheduler.try_simulate(0, 4), Err(SdpError::NoMatrices));
+        assert_eq!(
+            TreeScheduler.try_simulate(8, 0, &mut NullSink),
+            Err(SdpError::NoArrays)
+        );
+        assert_eq!(
+            TreeScheduler.try_simulate(0, 4, &mut NullSink),
+            Err(SdpError::NoMatrices)
+        );
         assert_eq!(try_eq29_time(8, 0), Err(SdpError::NoArrays));
     }
 
@@ -655,7 +650,7 @@ mod tests {
         // n = 1 means zero multiply tasks: the trace must be empty and
         // still renderable — callers must not assume `spans.last()` is
         // Some (the companion test above only unwraps it for n > 1).
-        let s = TreeScheduler.simulate(1, 3);
+        let s = TreeScheduler.try_simulate(1, 3, &mut NullSink).unwrap();
         assert_eq!(s.total_tasks(), 0);
         let trace = s.to_chrome_trace();
         assert!(trace.spans.is_empty());
@@ -676,6 +671,8 @@ mod tests {
                 deps: vec![0],
             },
         ];
-        let _ = DagScheduler.schedule(&tasks, 1);
+        let _ = DagScheduler
+            .try_schedule(&tasks, 1)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }

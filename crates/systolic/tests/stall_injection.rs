@@ -8,7 +8,9 @@
 //! feedback path) stall safely when an operand is not ready yet.
 
 use proptest::prelude::*;
+use sdp_fault::NoFaults;
 use sdp_systolic::{LinearArray, ProcessingElement};
+use sdp_trace::NullSink;
 
 #[derive(Default)]
 struct Wire {
@@ -55,11 +57,11 @@ fn drive(m: usize, feed: &[Option<u64>]) -> (Vec<u64>, u64, u64) {
     let mut arr = LinearArray::new((0..m).map(|_| Wire::default()).collect());
     let mut out = Vec::new();
     for &w in feed {
-        if let Some(o) = arr.cycle(w, |_| (), |_| ()) {
+        if let Some(o) = arr.cycle(w, |_| (), |_| (), &mut NoFaults, &mut NullSink) {
             out.push(o);
         }
     }
-    out.extend(arr.drain(m + 1, |_| (), |_| ()));
+    out.extend(arr.drain(m + 1, |_| (), |_| (), &mut NullSink));
     let u = arr.stats().utilization();
     (out, u.busy_pe_cycles, arr.stats().cycles())
 }
@@ -93,12 +95,12 @@ proptest! {
         let mut arr = LinearArray::new((0..m).map(|_| Wire::default()).collect());
         // idle for `gap` cycles, then one word: it must exit after m cycles.
         for _ in 0..gap {
-            assert_eq!(arr.cycle(None, |_| (), |_| ()), None);
+            assert_eq!(arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut NullSink), None);
         }
         let mut seen_at = None;
         for extra in 0..m + 2 {
             let head = if extra == 0 { Some(7u64) } else { None };
-            if arr.cycle(head, |_| (), |_| ()).is_some() {
+            if arr.cycle(head, |_| (), |_| (), &mut NoFaults, &mut NullSink).is_some() {
                 seen_at = Some(extra + 1);
                 break;
             }
@@ -118,10 +120,10 @@ proptest! {
             for (i, &v) in values.iter().enumerate() {
                 if with_gaps {
                     for _ in 0..gaps[i % gaps.len()] {
-                        arr.cycle(None, |_| (), |_| ());
+                        arr.cycle(None, |_| (), |_| (), &mut NoFaults, &mut NullSink);
                     }
                 }
-                arr.cycle(Some(v), |_| (), |_| ());
+                arr.cycle(Some(v), |_| (), |_| (), &mut NoFaults, &mut NullSink);
             }
             arr.pes()[0].acc
         };

@@ -19,7 +19,9 @@ fn main() {
     println!("== circuit voltage assignment ==");
     let net = generate::circuit_voltage(77, points, levels);
     println!("{points} circuit points, {levels} candidate voltages each; cost = (dV)^2\n");
-    let res = Design3Array::new(levels).run(&net);
+    let res = Design3Array::new(levels)
+        .try_run(&net, &mut NoFaults, &mut NullSink)
+        .unwrap();
     let volts: Vec<i64> = res
         .path
         .iter()

@@ -33,7 +33,9 @@ fn main() {
 
     // The same detection on the Design 1 systolic array: identical cost.
     let g = img.to_multistage(cfg);
-    let d1 = Design1Array::new(height).run(g.matrix_string());
+    let d1 = Design1Array::new(height)
+        .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+        .unwrap();
     let best = d1.values.iter().copied().fold(Cost::INF, Cost::min);
     assert_eq!(best, det.cost);
     println!(

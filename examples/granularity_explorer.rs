@@ -26,7 +26,7 @@ fn main() {
     println!("N = {n} matrices, sweeping K = 1..={k_max}\n");
     println!("{:>8} {:>8} {:>14} {:>8}", "K", "T", "K*T^2", "PU");
 
-    let sweep = dnc::granularity_sweep(n, k_max);
+    let sweep = dnc::try_granularity_sweep(n, k_max).unwrap();
     // print a logarithmic sample of the curve
     let mut k = 1u64;
     while k <= k_max {
@@ -40,7 +40,9 @@ fn main() {
     println!("\noptimal K = {k_star} with K*T^2 = {v_star}");
     println!("Theorem 1 granularity N/log2(N) = {ideal:.0}");
     println!("ratio K*/(N/log2 N) = {:.2}", k_star as f64 / ideal);
-    let s = dnc::schedule(n, k_star);
+    let s = systolic_dp::systolic::TreeScheduler
+        .try_simulate(n, k_star, &mut NullSink)
+        .expect("N ≥ 2 and K ≥ 1");
     println!(
         "schedule at K*: {} computation + {} wind-down rounds, PU = {:.3}",
         s.computation_rounds,

@@ -25,7 +25,9 @@ fn main() {
         plan.f().name()
     );
 
-    let res = Design3Array::new(levels).run(&plan);
+    let res = Design3Array::new(levels)
+        .try_run(&plan, &mut NoFaults, &mut NullSink)
+        .unwrap();
     let stock: Vec<i64> = res
         .path
         .iter()

@@ -69,7 +69,7 @@ fn main() {
         .collect();
     println!("\nexecuting the optimal multiply tree as a dataflow graph:");
     for k in [1usize, 2, 4] {
-        let sched = DagScheduler.schedule(&tasks, k);
+        let sched = DagScheduler.try_schedule(&tasks, k).unwrap();
         println!(
             "  K = {k}: makespan {:>6} flop-units (total work {})",
             sched.makespan,

@@ -24,7 +24,9 @@ fn main() {
         dp.cost, dp.iterations
     );
 
-    let d1 = Design1Array::new(m).run(g.matrix_string());
+    let d1 = Design1Array::new(m)
+        .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+        .unwrap();
     println!(
         "design 1 (pipelined)   : cost {} ({} cycles, charged N*m = {})",
         d1.optimum(),
@@ -32,7 +34,9 @@ fn main() {
         d1.paper_iterations
     );
 
-    let d2 = Design2Array::new(m).run(g.matrix_string());
+    let d2 = Design2Array::new(m)
+        .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+        .unwrap();
     println!(
         "design 2 (broadcast)   : cost {} ({} cycles, {} bus words)",
         d2.optimum(),
@@ -52,7 +56,9 @@ fn main() {
         -50,
         50,
     );
-    let d3 = Design3Array::new(m).run(&nv);
+    let d3 = Design3Array::new(m)
+        .try_run(&nv, &mut NoFaults, &mut NullSink)
+        .unwrap();
     let (node_io, edge_io) = nv.io_words();
     println!(
         "design 3 (node-value)  : cost {} ({} cycles = (N+1)m, I/O {} vs {} words)",

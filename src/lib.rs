@@ -17,6 +17,8 @@
 //! | [`multistage`] | multistage graphs, generators, DP baselines |
 //! | [`andor`] | AND/OR graphs, partitioning, chain DP, transforms |
 //! | [`core`] | the paper's systolic designs (Figs. 3–5), §4–§6 machinery |
+//! | [`fault`] | fault injection plans and recovery statistics |
+//! | [`trace`] | event sinks and trace exporters |
 //! | [`serve`] | dynamic-batching TCP request server over the engines |
 //!
 //! ## Quickstart
@@ -31,7 +33,11 @@
 //! let dp = solve::forward_dp(&g);
 //!
 //! // ...and the paper's pipelined systolic array (Design 1, Fig. 3).
-//! let systolic = Design1Array::new(4).run(g.matrix_string());
+//! // Every engine has one entry: pass `NoFaults` and `NullSink` for a
+//! // plain run, or a fault plan and a recording sink to observe one.
+//! let systolic = Design1Array::new(4)
+//!     .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+//!     .unwrap();
 //!
 //! assert_eq!(systolic.optimum(), dp.cost);
 //! ```
@@ -41,10 +47,12 @@
 
 pub use sdp_andor as andor;
 pub use sdp_core as core;
+pub use sdp_fault as fault;
 pub use sdp_multistage as multistage;
 pub use sdp_semiring as semiring;
 pub use sdp_serve as serve;
 pub use sdp_systolic as systolic;
+pub use sdp_trace as trace;
 
 /// Convenient re-exports for applications.
 pub mod prelude {
@@ -53,13 +61,15 @@ pub mod prelude {
     pub use sdp_andor::partition::build_partition_graph;
     pub use sdp_andor::serialize::serialize;
     pub use sdp_andor::{reduction, topdown};
-    pub use sdp_core::align::{sw_mesh, sw_mesh_aligned, Scoring};
+    pub use sdp_core::align::{sw_mesh_aligned, try_sw_mesh, Scoring};
     pub use sdp_core::chain_array::{simulate_chain_array, ChainMapping};
     pub use sdp_core::classify::{table1, Formulation};
     pub use sdp_core::dnc;
     pub use sdp_core::gkt::GktArray;
-    pub use sdp_core::knapsack_array::{knapsack_array, KnapsackItem};
+    pub use sdp_core::knapsack_array::{try_knapsack_array, KnapsackItem};
     pub use sdp_core::{Design1Array, Design2Array, Design3Array};
+    pub use sdp_fault::NoFaults;
     pub use sdp_multistage::{generate, solve, MultistageGraph, NodeValueGraph};
     pub use sdp_semiring::{Cost, Matrix, MinPlus, Semiring};
+    pub use sdp_trace::NullSink;
 }

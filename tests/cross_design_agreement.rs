@@ -14,8 +14,14 @@ fn five_way_agreement_on_single_source_sink_graphs() {
         let fwd = solve::forward_dp(&g).cost;
         let bwd = solve::backward_dp(&g).cost;
         let mat = g.optimal_cost();
-        let d1 = Design1Array::new(m).run(g.matrix_string()).optimum();
-        let d2 = Design2Array::new(m).run(g.matrix_string()).optimum();
+        let d1 = Design1Array::new(m)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap()
+            .optimum();
+        let d2 = Design2Array::new(m)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap()
+            .optimum();
         let (bf, _) = solve::brute_force(&g);
 
         assert_eq!(fwd, bwd, "seed {seed}");
@@ -39,10 +45,14 @@ fn node_value_pipeline_agrees_with_edge_cost_pipeline() {
             -30,
             30,
         );
-        let d3 = Design3Array::new(m).run(&nv);
+        let d3 = Design3Array::new(m)
+            .try_run(&nv, &mut NoFaults, &mut NullSink)
+            .unwrap();
         let ms = nv.to_multistage();
         // The materialized edge-cost graph through the other designs:
-        let d1 = Design1Array::new(m).run(ms.matrix_string());
+        let d1 = Design1Array::new(m)
+            .try_run(ms.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         let dp = solve::backward_dp(&ms);
         assert_eq!(d3.cost, dp.cost, "seed {seed}");
         assert_eq!(d1.optimum(), dp.cost, "seed {seed}");
@@ -57,7 +67,9 @@ fn partition_graph_agrees_with_designs_on_uniform_strings() {
         let g = generate::random_uniform(seed, 5, m, 0, 30); // 4 matrices
         let pg = build_partition_graph(4, m, 2);
         let reduced = pg.evaluate_on(g.matrix_string());
-        let d1 = Design1Array::new(m).run(g.matrix_string());
+        let d1 = Design1Array::new(m)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         // d1 values are row minima of the reduced all-pairs matrix
         for (i, &v) in d1.values.iter().enumerate() {
             let row_min = (0..m)
@@ -74,7 +86,9 @@ fn parallel_executor_agrees_with_everything() {
         let n = 4 + (seed as usize % 8);
         let m = 2 + (seed as usize % 3);
         let g = generate::random_uniform(seed, n + 1, m, 0, 50);
-        let (tree, _) = dnc::ParallelExecutor::new(3).multiply_string(g.matrix_string());
+        let (tree, _) = dnc::ParallelExecutor::new(3)
+            .try_multiply_string(g.matrix_string(), None)
+            .unwrap();
         let fold = Matrix::string_product(g.matrix_string());
         assert_eq!(tree, fold, "seed {seed}");
     }
@@ -114,12 +128,20 @@ fn banded_alignment_agrees_with_full_mesh_when_band_covers() {
         let a: Vec<u8> = (0..la).map(sym).collect();
         let b: Vec<u8> = (la..la + lb).map(sym).collect();
         let scoring = Scoring::simple(2, -1, 1);
-        let full = sw_mesh(&a, &b, &scoring);
+        let full = try_sw_mesh(&a, &b, &scoring, &mut NoFaults, &mut NullSink).unwrap();
         // Any band ≥ max(|a|,|b|) − 1 covers every cell of the matrix,
         // so the banded mesh must reproduce the full run exactly.
         for extra in 0..2usize {
             let band = la.max(lb) - 1 + extra;
-            let banded = sdp_core::align::sw_banded_mesh(&a, &b, band, &scoring);
+            let banded = sdp_core::align::try_sw_banded_mesh(
+                &a,
+                &b,
+                band,
+                &scoring,
+                &mut NoFaults,
+                &mut NullSink,
+            )
+            .unwrap();
             assert_eq!(
                 (banded.score, banded.end),
                 (full.score, full.end),
@@ -142,7 +164,9 @@ fn sparse_graphs_with_unreachable_edges() {
     for seed in 0..10 {
         let g = generate::random_sparse(seed, 6, 4, 1, 20, 0.5);
         let dp = solve::forward_dp(&g).cost;
-        let d1 = Design1Array::new(4).run(g.matrix_string());
+        let d1 = Design1Array::new(4)
+            .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+            .unwrap();
         // multi-source/multi-sink: compare per-vertex vector minima
         let want = Matrix::string_product(g.matrix_string());
         for (i, &v) in d1.values.iter().enumerate() {

@@ -14,7 +14,9 @@ fn monadic_serial_applications() {
         ("scheduling", generate::task_scheduling(10, 5, 4)),
     ];
     for (name, g) in apps {
-        let res = Design3Array::new(4).run(&g);
+        let res = Design3Array::new(4)
+            .try_run(&g, &mut NoFaults, &mut NullSink)
+            .unwrap();
         let ms = g.to_multistage();
         let (bf, _) = solve::brute_force(&ms);
         assert_eq!(res.cost, bf, "{name}");
@@ -32,7 +34,9 @@ fn polyadic_serial_route() {
     let g = generate::random_uniform(21, n_mats + 1, m, 0, 60);
 
     // monadic route
-    let monadic = Design1Array::new(m).run(g.matrix_string());
+    let monadic = Design1Array::new(m)
+        .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+        .unwrap();
 
     // polyadic route: binary partition AND/OR graph
     let pg = build_partition_graph(n_mats, m, 2);
@@ -45,9 +49,13 @@ fn polyadic_serial_route() {
     assert_eq!(poly_best, mono_best);
 
     // and the K-array schedule executes the same tree on host threads
-    let (tree_prod, rounds) = dnc::ParallelExecutor::new(2).multiply_string(g.matrix_string());
+    let (tree_prod, rounds) = dnc::ParallelExecutor::new(2)
+        .try_multiply_string(g.matrix_string(), None)
+        .unwrap();
     assert_eq!(tree_prod, reduced);
-    assert_eq!(rounds, dnc::schedule(n_mats as u64, 2).rounds);
+    let schedule =
+        systolic_dp::systolic::TreeScheduler.try_simulate(n_mats as u64, 2, &mut NullSink);
+    assert_eq!(rounds, schedule.unwrap().rounds);
 }
 
 /// Monadic-nonserial: ternary-chain objective → grouping transform →
@@ -66,7 +74,9 @@ fn monadic_nonserial_route() {
     let serial = chain.group_to_serial();
     let m = serial.stage_size(0);
     assert!(serial.is_uniform());
-    let d1 = Design1Array::new(m).run(serial.matrix_string());
+    let d1 = Design1Array::new(m)
+        .try_run(serial.matrix_string(), &mut NoFaults, &mut NullSink)
+        .unwrap();
     let best = d1.values.iter().copied().fold(Cost::INF, Cost::min);
     assert_eq!(best, bf);
 }
@@ -91,8 +101,8 @@ fn polyadic_nonserial_route() {
             deps: [l, r].into_iter().flatten().collect(),
         })
         .collect();
-    let s1 = DagScheduler.schedule(&tasks, 1);
-    let s4 = DagScheduler.schedule(&tasks, 4);
+    let s1 = DagScheduler.try_schedule(&tasks, 1).unwrap();
+    let s4 = DagScheduler.try_schedule(&tasks, 4).unwrap();
     // 1-worker makespan = total optimal flops; more workers can't exceed it.
     assert_eq!(
         Cost::from(s1.makespan as i64),

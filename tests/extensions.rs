@@ -1,7 +1,7 @@
 //! Integration: the extension modules compose with the original stack.
 
 use sdp_core::chain_problem::{ChainProblem, MergeTree};
-use sdp_core::edit_array::{edit_distance_mesh, edit_distance_seq};
+use sdp_core::edit_array::{edit_distance_seq, try_edit_distance_mesh};
 use sdp_core::matmul_array::MatmulArray;
 use sdp_core::nonserial_array::run_grouped;
 use sdp_multistage::bnb;
@@ -17,8 +17,12 @@ fn curve_detection_four_way_agreement() {
     let det = img.detect(cfg);
     let g = img.to_multistage(cfg);
 
-    let d1 = Design1Array::new(8).run(g.matrix_string());
-    let d2 = Design2Array::new(8).run(g.matrix_string());
+    let d1 = Design1Array::new(8)
+        .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+        .unwrap();
+    let d2 = Design2Array::new(8)
+        .try_run(g.matrix_string(), &mut NoFaults, &mut NullSink)
+        .unwrap();
     let bb = bnb::search(&g, bnb::BnbConfig::default());
 
     let best = |v: &[Cost]| v.iter().copied().fold(Cost::INF, Cost::min);
@@ -39,8 +43,11 @@ fn curve_detection_four_way_agreement() {
 fn matmul_mesh_and_threads_and_fold_agree() {
     let g = generate::random_uniform(11, 9, 4, 0, 99); // 8 matrices
     let fold = Matrix::string_product(g.matrix_string());
-    let (mesh_prod, mesh_cycles) = MatmulArray::multiply_string_dnc(g.matrix_string(), 3);
-    let (thr_prod, rounds) = dnc::ParallelExecutor::new(3).multiply_string(g.matrix_string());
+    let (mesh_prod, mesh_cycles) =
+        MatmulArray::try_multiply_string_dnc(g.matrix_string(), 3, &mut NullSink).unwrap();
+    let (thr_prod, rounds) = dnc::ParallelExecutor::new(3)
+        .try_multiply_string(g.matrix_string(), None)
+        .unwrap();
     assert_eq!(mesh_prod, fold);
     assert_eq!(thr_prod, fold);
     assert_eq!(mesh_cycles, rounds * MatmulArray::t1(4, 4, 4));
@@ -89,7 +96,9 @@ fn edit_distance_mesh_oracle() {
     ];
     for (a, b) in cases {
         assert_eq!(
-            edit_distance_mesh(a, b).distance,
+            try_edit_distance_mesh(a, b, &mut NoFaults, &mut NullSink)
+                .unwrap()
+                .distance,
             edit_distance_seq(a, b),
             "{a:?} vs {b:?}"
         );
