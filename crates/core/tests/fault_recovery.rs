@@ -214,3 +214,118 @@ fn planned_worker_deaths_exhaust_bounded_retry() {
         })
     ));
 }
+
+/// FNV-1a over the `Debug` rendering of every item, in order.
+fn fnv<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
+    items.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, item| {
+        format!("{item:?}").bytes().fold(h, |h, byte| {
+            (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    })
+}
+
+/// The pinned view of a faulted run: its result fields, its `Stats`
+/// field by field (per-PE busy counts as a sum plus hash), and the
+/// event count plus hash.
+fn fault_digest(result: String, stats: &sdp_systolic::Stats, sink: &RecordingSink) -> String {
+    let busy = (0..stats.num_pes()).map(|i| stats.busy(i));
+    format!(
+        "{result} | cycles={} pes={} busy={}/{:016x} in={} out={} bus={} tokens={} stalls={} \
+         | events={} fnv={:016x}",
+        stats.cycles(),
+        stats.num_pes(),
+        busy.clone().sum::<u64>(),
+        fnv(busy),
+        stats.input_words(),
+        stats.output_words(),
+        stats.bus_words(),
+        stats.token_rotations(),
+        stats.stall_cycles(),
+        sink.events.len(),
+        fnv(&sink.events),
+    )
+}
+
+/// Every single-instance mesh entry under one fixed plan: a stuck-at
+/// fault on an interior PE plus a transient flip on the apex PE.  The
+/// digests were captured from the engines' dedicated single-instance
+/// drivers and must survive any refactor of how single runs execute.
+#[test]
+fn faulted_single_runs_are_pinned() {
+    use sdp_core::align::{try_gotoh_mesh, try_sw_banded_mesh, try_sw_mesh, Scoring};
+    let plan = |interior: u32, stuck: i64, apex: u32| {
+        PlanInjector::new(
+            FaultPlan::new()
+                .with(Fault::StuckAt {
+                    pe: interior,
+                    cycle: 0,
+                    value: stuck,
+                })
+                .with(Fault::TransientFlip {
+                    pe: apex,
+                    cycle: 0,
+                    bit: 2,
+                }),
+        )
+    };
+
+    let mut sink = RecordingSink::default();
+    let run =
+        try_edit_distance_mesh(b"kitten", b"sitting", &mut plan(9, 40, 41), &mut sink).unwrap();
+    assert_eq!(
+        fault_digest(format!("distance={}", run.distance), &run.stats, &sink),
+        "distance=7 | cycles=12 pes=42 busy=42/e62069ca51becb3f in=13 out=13 bus=0 tokens=0 stalls=0 | events=544 fnv=e75195b104ca3f8e"
+    );
+
+    let (a, b) = (b"acacactagg", b"agcacacatg");
+    let linear = Scoring::simple(2, -1, 1);
+    let mut sink = RecordingSink::default();
+    let run = try_sw_mesh(a, b, &linear, &mut plan(23, 9, 99), &mut sink).unwrap();
+    assert_eq!(
+        fault_digest(
+            format!("score={} end={:?}", run.score, run.end),
+            &run.stats,
+            &sink
+        ),
+        "score=17 end=Some((8, 9)) | cycles=19 pes=100 busy=100/6bf4b31f38d38dd9 in=20 out=20 bus=0 tokens=0 stalls=0 | events=1961 fnv=681aa44cda6dc803"
+    );
+
+    let mut sink = RecordingSink::default();
+    let run = try_sw_banded_mesh(a, b, 2, &linear, &mut plan(23, 9, 99), &mut sink).unwrap();
+    assert_eq!(
+        fault_digest(
+            format!("score={} end={:?}", run.score, run.end),
+            &run.stats,
+            &sink
+        ),
+        "score=17 end=Some((8, 9)) | cycles=19 pes=100 busy=44/6d75676784d5beb5 in=20 out=20 bus=0 tokens=0 stalls=0 | events=1961 fnv=320f4a7ceda73b13"
+    );
+
+    let affine = Scoring::affine(2, -1, 3, 1);
+    let mut sink = RecordingSink::default();
+    let run = try_gotoh_mesh(a, b, &affine, &mut plan(23, 9, 99), &mut sink).unwrap();
+    assert_eq!(
+        fault_digest(
+            format!("score={} end={:?}", run.score, run.end),
+            &run.stats,
+            &sink
+        ),
+        "score=15 end=Some((5, 6)) | cycles=19 pes=100 busy=100/6bf4b31f38d38dd9 in=20 out=20 bus=0 tokens=0 stalls=0 | events=1961 fnv=1ee9e3a6cc46a1a8"
+    );
+
+    let x = Matrix::<MinPlus>::from_fn(3, 4, |i, k| {
+        MinPlus(Cost::from((i * 7 + k * 3) as i64 % 11))
+    });
+    let y = Matrix::<MinPlus>::from_fn(4, 3, |k, j| {
+        MinPlus(Cost::from((k * 5 + j * 2) as i64 % 13))
+    });
+    let mut sink = RecordingSink::default();
+    let run = MatmulArray::try_multiply(&x, &y, &mut plan(4, 1, 8), &mut sink).unwrap();
+    let product: Vec<Vec<i64>> = (0..3)
+        .map(|i| (0..3).map(|j| run.product.get(i, j).0.raw()).collect())
+        .collect();
+    assert_eq!(
+        fault_digest(format!("product={product:?}"), &run.stats, &sink),
+        "product=[[0, 2, 4], [7, 9, 2], [3, 2, 7]] | cycles=8 pes=9 busy=36/538985f27f008423 in=24 out=24 bus=0 tokens=0 stalls=0 | events=133 fnv=2165371b15cf3e09"
+    );
+}
