@@ -44,36 +44,57 @@ fn sweep(
     row
 }
 
+/// Appends the inclusive cycle intervals in which some PE decides for
+/// an instance launched at cycle `start`; the rest of the schedule is
+/// relay-only stalls.  Item i launches at s_i = start + i + Σ_{k<i} w_k;
+/// PE j decides at s_i + j (immediate: j < w_i, or w_i = 0) or at
+/// s_i + j + w_i (train resolution: j ≥ w_i).
+fn decision_intervals(
+    items: &[KnapsackItem],
+    start: u64,
+    capacity: u64,
+    out: &mut Vec<(u64, u64)>,
+) {
+    let mut s = start;
+    for it in items {
+        let wi = it.weight;
+        if wi == 0 {
+            out.push((s, s + capacity));
+        } else {
+            out.push((s, s + (wi - 1).min(capacity)));
+            if wi <= capacity {
+                out.push((s + 2 * wi, s + wi + capacity));
+            }
+        }
+        s += wi + 1;
+    }
+}
+
+/// The number of cycles in the union of inclusive `intervals` — busy
+/// cycles counted in memory linear in the item count, not the cycle
+/// count.
+fn covered_cycles(mut intervals: Vec<(u64, u64)>) -> u64 {
+    intervals.sort_unstable();
+    let mut covered = 0;
+    let mut next = 0; // first cycle not yet counted
+    for (lo, hi) in intervals {
+        let lo = lo.max(next);
+        if lo <= hi {
+            covered += hi - lo + 1;
+            next = hi + 1;
+        }
+    }
+    covered
+}
+
 /// Closed-form array Stats for one instance.
 fn array_stats(items: &[KnapsackItem], capacity: u64) -> Stats {
     let (n, c) = (items.len() as u64, capacity);
     let cycles = knapsack_cycle_count(items, capacity);
     let tail_train: u64 = items.iter().map(|it| it.weight.min(c + 1)).sum();
-    // Mark the decision cycles of the launch schedule; the rest are
-    // relay-only stalls.  Item i launches at s_i = i + Σ_{k<i} w_k;
-    // PE j decides at s_i + j (immediate: j < w_i, or w_i = 0) or at
-    // s_i + j + w_i (train resolution: j ≥ w_i).
-    let mut busy_cycle = vec![false; cycles as usize];
-    let mut s = 0u64;
-    for it in items {
-        let wi = it.weight;
-        if wi == 0 {
-            for t in s..=s + c {
-                busy_cycle[t as usize] = true;
-            }
-        } else {
-            for t in s..=s + (wi - 1).min(c) {
-                busy_cycle[t as usize] = true;
-            }
-            if wi <= c {
-                for t in s + 2 * wi..=s + wi + c {
-                    busy_cycle[t as usize] = true;
-                }
-            }
-        }
-        s += wi + 1;
-    }
-    let stalls = busy_cycle.iter().filter(|&&b| !b).count() as u64;
+    let mut busy = Vec::with_capacity(2 * items.len());
+    decision_intervals(items, 0, c, &mut busy);
+    let stalls = cycles - covered_cycles(busy);
     Stats::from_parts(
         cycles,
         vec![n; c as usize + 1],
@@ -179,38 +200,20 @@ pub fn knapsack_direct_batch(
         s += c as u64 + 2;
     }
     let cycles = last_flush + 2 * (c as u64 + 1);
-    let mut busy_cycle = vec![false; cycles as usize];
+    let n_total: usize = batch.iter().map(|items| items.len()).sum();
+    let mut busy = Vec::with_capacity(2 * n_total);
     let mut input_words = 0u64;
     let mut output_words = 0u64;
     for (items, &offset) in batch.iter().zip(&offsets) {
-        let mut s = offset;
-        for it in items.iter() {
-            let wi = it.weight;
-            if wi == 0 {
-                for t in s..=s + c as u64 {
-                    busy_cycle[t as usize] = true;
-                }
-            } else {
-                for t in s..=s + (wi - 1).min(c as u64) {
-                    busy_cycle[t as usize] = true;
-                }
-                if wi <= c as u64 {
-                    for t in s + 2 * wi..=s + wi + c as u64 {
-                        busy_cycle[t as usize] = true;
-                    }
-                }
-            }
-            s += wi + 1;
-        }
+        decision_intervals(items, offset, c as u64, &mut busy);
         let tail_train: u64 = items.iter().map(|it| it.weight.min(c as u64 + 1)).sum();
         input_words += items.len() as u64 + 1;
         output_words += items.len() as u64 + tail_train + c as u64 + 2;
     }
-    let stalls = busy_cycle.iter().filter(|&&b| !b).count() as u64;
-    let n_total: u64 = batch.iter().map(|items| items.len() as u64).sum();
+    let stalls = cycles - covered_cycles(busy);
     let stats = Stats::from_parts(
         cycles,
-        vec![n_total; c + 1],
+        vec![n_total as u64; c + 1],
         input_words,
         output_words,
         0,
@@ -276,6 +279,19 @@ mod tests {
             assert_eq!(direct, sim, "case {case}");
             assert_eq!(direct_set, sim_set, "case {case}: {its:?} cap {capacity}");
         }
+    }
+
+    #[test]
+    fn stats_for_long_schedules_need_no_per_cycle_memory() {
+        // 10¹² cycles of schedule: a per-cycle busy map would need a
+        // terabyte.  Item 0 (too heavy) decides on cycles 0..=3; item 1
+        // launches at s = 10¹² + 1 and decides on s..=s+1 and s+4..=s+5.
+        let heavy = 1_000_000_000_000;
+        let run = knapsack_direct(&items(&[(heavy, 5), (2, 3)]), 3);
+        assert_eq!(run.cycles, heavy + 2 + 2 + 2 * 4);
+        assert_eq!(run.stats.stall_cycles(), run.cycles - 8);
+        let batch = knapsack_direct_batch(&[&items(&[(heavy, 5), (2, 3)]), &[]], 3).unwrap();
+        assert_eq!(batch.stats.stall_cycles(), batch.cycles - 8);
     }
 
     #[test]

@@ -2155,7 +2155,7 @@ fn report_e26_sized(clients: usize, reqs_per_client: usize, seeds: &[u64]) -> Re
     let mut kinds_doc = Json::object();
     for (i, kind) in CHAOS_ERROR_KINDS.iter().enumerate() {
         let n: u64 = campaigns.iter().map(|(_, c)| c.kinds[i]).sum();
-        kinds_doc = kinds_doc.with(*kind, n);
+        kinds_doc = kinds_doc.with(kind, n);
     }
     let mut injected_doc = Json::object();
     for i in 0..4 {
@@ -2189,6 +2189,14 @@ fn report_e26_sized(clients: usize, reqs_per_client: usize, seeds: &[u64]) -> Re
         .with("server", last_snapshot);
     report
 }
+
+/// A labelled size ramp for one engine class: `(label, class,
+/// [(size label, request body)])`, shared by E27 and E28.
+type Ramp = (
+    &'static str,
+    sdp_serve::protocol::Class,
+    Vec<(String, sdp_serve::protocol::Body)>,
+);
 
 /// E27 (direct backends): sim-vs-direct wall time per engine class
 /// across a size ramp, measured at the exact seam the serve dispatcher
@@ -2244,7 +2252,7 @@ fn report_e27_sized(ramp_len: usize, reps: usize) -> Report {
             mats: (0..n).map(|_| minplus_matrix(&mut s, m, m)).collect(),
         }
     };
-    let ramps: Vec<(&str, Class, Vec<(String, Body)>)> = vec![
+    let ramps: Vec<Ramp> = vec![
         (
             "multistage1",
             Class::Multistage1,
@@ -2482,7 +2490,7 @@ fn report_e28_sized(ramp_len: usize, reps: usize) -> Report {
             capacity,
         }
     };
-    let ramps: Vec<(&str, Class, Vec<(String, Body)>)> = vec![
+    let ramps: Vec<Ramp> = vec![
         (
             "align",
             Class::Align,

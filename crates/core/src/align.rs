@@ -40,8 +40,9 @@
 //! and walks back to the zero cell (`O(end_i · end_j)` traceback
 //! memory, preferring diagonal over up over left moves).
 
+use crate::edit_array::{wavefront, Wavefront};
 use sdp_fault::{FaultInjector, NoFaults, SdpError};
-use sdp_systolic::{Mesh2D, MeshProcessingElement, Stats};
+use sdp_systolic::Stats;
 use sdp_trace::{NullSink, TraceSink};
 
 /// Sentinel for "no value flows here" (out-of-band cells, undefined
@@ -273,242 +274,133 @@ pub struct LocalAlignment {
     pub ops: Vec<AlignOp>,
 }
 
-/// One Smith–Waterman cell.  Substitution scores are preloaded
-/// (weight-stationary); out-of-band cells relay the wavefront without
-/// computing.
-struct SwPe {
-    /// Preloaded `s(a[i], b[j])`.
-    sub: i64,
-    /// Linear gap penalty.
+/// The Smith–Waterman cell (banded when `band` is `Some`): in-band
+/// cells compute `H`, out-of-band cells relay the wavefront.
+#[derive(Clone, Copy)]
+struct SwCell<'s> {
+    subst: &'s Subst,
     gap: i64,
-    /// Table coordinates, for argmax tracking.
-    i: u32,
-    j: u32,
-    /// False for out-of-band relay cells.
-    active: bool,
-    value: Option<i64>,
-    busy: bool,
+    band: Option<usize>,
 }
 
-impl MeshProcessingElement for SwPe {
+impl Wavefront for SwCell<'_> {
     type Horiz = SwHoriz;
     type Vert = SwVert;
-    type Ctrl = ();
+    /// `s(a[i], b[j])`, or `None` for an out-of-band relay cell.
+    type Preload = Option<i64>;
+    type Out = BestCell;
 
-    fn step(
-        &mut self,
-        west: Option<SwHoriz>,
-        north: Option<SwVert>,
-        _: (),
-    ) -> (Option<SwHoriz>, Option<SwVert>) {
-        self.busy = false;
-        if self.value.is_none() {
-            if let (Some((left, best_w)), Some((up, (diag, best_n)))) = (west, north) {
-                let mut best = better(best_w, best_n);
-                let h = if self.active {
-                    let h = 0i64
-                        .max(diag.saturating_add(self.sub))
-                        .max(up.saturating_sub(self.gap))
-                        .max(left.saturating_sub(self.gap));
-                    if h > 0 {
-                        best = better(best, (h, self.i, self.j));
-                    }
-                    self.busy = true;
-                    h
-                } else {
-                    OUT_OF_BAND
-                };
-                self.value = Some(h);
-                // East carries H[i][j]; south piggybacks the received
-                // west value as the diagonal for the cell below.
-                return (Some((h, best)), Some((h, (left, best))));
+    fn preload(&self, a: &[u8], b: &[u8], i: usize, j: usize) -> Option<i64> {
+        in_band(i, j, self.band).then(|| self.subst.score(a[i], b[j]))
+    }
+
+    fn fire(
+        &self,
+        (i, j): (u32, u32),
+        sub: Option<i64>,
+        (left, best_w): SwHoriz,
+        (up, (diag, best_n)): SwVert,
+    ) -> (SwHoriz, SwVert, Option<i64>) {
+        let mut best = better(best_w, best_n);
+        let h = sub.map(|sub| {
+            let h = 0i64
+                .max(diag.saturating_add(sub))
+                .max(up.saturating_sub(self.gap))
+                .max(left.saturating_sub(self.gap));
+            if h > 0 {
+                best = better(best, (h, i, j));
             }
-        }
-        (None, None)
+            h
+        });
+        // East carries H[i][j]; south piggybacks the received west
+        // value as the diagonal for the cell below.
+        let word = h.unwrap_or(OUT_OF_BAND);
+        ((word, best), (word, (left, best)), h)
     }
 
-    fn was_busy(&self) -> bool {
-        self.busy
+    fn west_edge(&self, _: usize) -> SwHoriz {
+        (0, NO_BEST)
     }
 
-    fn probe(&self) -> Option<i64> {
-        self.value.filter(|_| self.active)
-    }
-}
-
-/// One batched Smith–Waterman cell: per-instance substitution scores
-/// are preloaded and each crossing wavefront computes the next
-/// instance (instances ride one cycle apart, as in the batched edit
-/// mesh).
-struct BatchSwPe {
-    /// `subs[t]` = instance `t`'s `s(a_t[i], b_t[j])`.
-    subs: Vec<i64>,
-    gap: i64,
-    i: u32,
-    j: u32,
-    active: bool,
-    fired: usize,
-    last: Option<i64>,
-    busy: bool,
-}
-
-impl MeshProcessingElement for BatchSwPe {
-    type Horiz = SwHoriz;
-    type Vert = SwVert;
-    type Ctrl = ();
-
-    fn step(
-        &mut self,
-        west: Option<SwHoriz>,
-        north: Option<SwVert>,
-        _: (),
-    ) -> (Option<SwHoriz>, Option<SwVert>) {
-        self.busy = false;
-        if self.fired < self.subs.len() {
-            if let (Some((left, best_w)), Some((up, (diag, best_n)))) = (west, north) {
-                let mut best = better(best_w, best_n);
-                let h = if self.active {
-                    let h = 0i64
-                        .max(diag.saturating_add(self.subs[self.fired]))
-                        .max(up.saturating_sub(self.gap))
-                        .max(left.saturating_sub(self.gap));
-                    if h > 0 {
-                        best = better(best, (h, self.i, self.j));
-                    }
-                    self.busy = true;
-                    h
-                } else {
-                    OUT_OF_BAND
-                };
-                self.fired += 1;
-                self.last = Some(h);
-                return (Some((h, best)), Some((h, (left, best))));
-            }
-        }
-        (None, None)
+    fn north_edge(&self, _: usize) -> SwVert {
+        (0, (0, NO_BEST))
     }
 
-    fn was_busy(&self) -> bool {
-        self.busy
+    /// Every cell is an ancestor of the apex, so its word carries the
+    /// instance's global argmax.
+    fn apex(&self, (_, best): SwHoriz) -> BestCell {
+        best
     }
 
-    fn probe(&self) -> Option<i64> {
-        self.last.filter(|_| self.active)
+    fn empty(&self, _: usize, _: usize) -> BestCell {
+        NO_BEST
+    }
+
+    fn validate(&self, a: &[u8], b: &[u8]) -> Result<(), SdpError> {
+        self.subst.validate(a)?;
+        self.subst.validate(b)
     }
 }
 
-/// One Gotoh cell: three interleaved DP layers (`H`, `E`, `F`) per PE.
-struct GotohPe {
-    sub: i64,
+/// The Gotoh cell: three interleaved DP layers (`H`, `E`, `F`).
+#[derive(Clone, Copy)]
+struct GotohCell<'s> {
+    subst: &'s Subst,
     gap_open: i64,
     gap_extend: i64,
-    i: u32,
-    j: u32,
-    value: Option<i64>,
-    busy: bool,
 }
 
-impl MeshProcessingElement for GotohPe {
+impl Wavefront for GotohCell<'_> {
     type Horiz = GotohHoriz;
     type Vert = GotohVert;
-    type Ctrl = ();
+    /// `s(a[i], b[j])`.
+    type Preload = i64;
+    type Out = BestCell;
 
-    fn step(
-        &mut self,
-        west: Option<GotohHoriz>,
-        north: Option<GotohVert>,
-        _: (),
-    ) -> (Option<GotohHoriz>, Option<GotohVert>) {
-        self.busy = false;
-        if self.value.is_none() {
-            if let (Some((h_left, (e_left, best_w))), Some((h_up, (f_up, h_diag, best_n)))) =
-                (west, north)
-            {
-                let e = h_left
-                    .saturating_sub(self.gap_open)
-                    .max(e_left.saturating_sub(self.gap_extend));
-                let f = h_up
-                    .saturating_sub(self.gap_open)
-                    .max(f_up.saturating_sub(self.gap_extend));
-                let h = 0i64.max(h_diag.saturating_add(self.sub)).max(e).max(f);
-                let mut best = better(best_w, best_n);
-                if h > 0 {
-                    best = better(best, (h, self.i, self.j));
-                }
-                self.value = Some(h);
-                self.busy = true;
-                return (Some((h, (e, best))), Some((h, (f, h_left, best))));
-            }
+    fn preload(&self, a: &[u8], b: &[u8], i: usize, j: usize) -> i64 {
+        self.subst.score(a[i], b[j])
+    }
+
+    fn fire(
+        &self,
+        (i, j): (u32, u32),
+        sub: i64,
+        (h_left, (e_left, best_w)): GotohHoriz,
+        (h_up, (f_up, h_diag, best_n)): GotohVert,
+    ) -> (GotohHoriz, GotohVert, Option<i64>) {
+        let e = h_left
+            .saturating_sub(self.gap_open)
+            .max(e_left.saturating_sub(self.gap_extend));
+        let f = h_up
+            .saturating_sub(self.gap_open)
+            .max(f_up.saturating_sub(self.gap_extend));
+        let h = 0i64.max(h_diag.saturating_add(sub)).max(e).max(f);
+        let mut best = better(best_w, best_n);
+        if h > 0 {
+            best = better(best, (h, i, j));
         }
-        (None, None)
+        ((h, (e, best)), (h, (f, h_left, best)), Some(h))
     }
 
-    fn was_busy(&self) -> bool {
-        self.busy
+    fn west_edge(&self, _: usize) -> GotohHoriz {
+        (0, (OUT_OF_BAND, NO_BEST))
     }
 
-    fn probe(&self) -> Option<i64> {
-        self.value
-    }
-}
-
-/// One batched Gotoh cell.
-struct BatchGotohPe {
-    subs: Vec<i64>,
-    gap_open: i64,
-    gap_extend: i64,
-    i: u32,
-    j: u32,
-    fired: usize,
-    last: Option<i64>,
-    busy: bool,
-}
-
-impl MeshProcessingElement for BatchGotohPe {
-    type Horiz = GotohHoriz;
-    type Vert = GotohVert;
-    type Ctrl = ();
-
-    fn step(
-        &mut self,
-        west: Option<GotohHoriz>,
-        north: Option<GotohVert>,
-        _: (),
-    ) -> (Option<GotohHoriz>, Option<GotohVert>) {
-        self.busy = false;
-        if self.fired < self.subs.len() {
-            if let (Some((h_left, (e_left, best_w))), Some((h_up, (f_up, h_diag, best_n)))) =
-                (west, north)
-            {
-                let e = h_left
-                    .saturating_sub(self.gap_open)
-                    .max(e_left.saturating_sub(self.gap_extend));
-                let f = h_up
-                    .saturating_sub(self.gap_open)
-                    .max(f_up.saturating_sub(self.gap_extend));
-                let h = 0i64
-                    .max(h_diag.saturating_add(self.subs[self.fired]))
-                    .max(e)
-                    .max(f);
-                let mut best = better(best_w, best_n);
-                if h > 0 {
-                    best = better(best, (h, self.i, self.j));
-                }
-                self.fired += 1;
-                self.last = Some(h);
-                self.busy = true;
-                return (Some((h, (e, best))), Some((h, (f, h_left, best))));
-            }
-        }
-        (None, None)
+    fn north_edge(&self, _: usize) -> GotohVert {
+        (0, (OUT_OF_BAND, 0, NO_BEST))
     }
 
-    fn was_busy(&self) -> bool {
-        self.busy
+    fn apex(&self, (_, (_, best)): GotohHoriz) -> BestCell {
+        best
     }
 
-    fn probe(&self) -> Option<i64> {
-        self.last
+    fn empty(&self, _: usize, _: usize) -> BestCell {
+        NO_BEST
+    }
+
+    fn validate(&self, a: &[u8], b: &[u8]) -> Result<(), SdpError> {
+        self.subst.validate(a)?;
+        self.subst.validate(b)
     }
 }
 
@@ -519,99 +411,16 @@ fn in_band(i: usize, j: usize, band: Option<usize>) -> bool {
     }
 }
 
-fn empty_run() -> AlignRun {
-    AlignRun {
-        score: 0,
-        end: None,
-        cycles: 0,
-        stats: Stats::new(0),
-    }
-}
-
-fn finish(best: BestCell, cycles: u64, stats: Stats) -> AlignRun {
-    AlignRun {
-        score: best.0,
-        end: (best != NO_BEST).then_some((best.1 as usize, best.2 as usize)),
-        cycles,
-        stats,
-    }
-}
-
-/// The one true single-run Smith–Waterman driver (banded when `band`
-/// is `Some`).
-fn sw_core<F: FaultInjector, S: TraceSink>(
-    a: &[u8],
-    b: &[u8],
-    band: Option<usize>,
-    scoring: &Scoring,
+/// Runs `cell` over `pairs` on the wavefront driver and packs the apex's
+/// per-instance argmax words into a batch result.
+fn align_batch<W: Wavefront<Out = BestCell>, F: FaultInjector, S: TraceSink>(
+    cell: W,
+    pairs: &[(&[u8], &[u8])],
     injector: &mut F,
     sink: &mut S,
-) -> Result<AlignRun, SdpError> {
-    scoring.subst.validate(a)?;
-    scoring.subst.validate(b)?;
-    if a.is_empty() || b.is_empty() {
-        return Ok(empty_run());
-    }
-    let (p, q) = (a.len(), b.len());
-    let mut mesh = Mesh2D::try_new(
-        p,
-        q,
-        (0..p)
-            .flat_map(|i| (0..q).map(move |j| (i, j)))
-            .map(|(i, j)| SwPe {
-                sub: scoring.subst.score(a[i], b[j]),
-                gap: scoring.gap,
-                i: i as u32,
-                j: j as u32,
-                active: in_band(i, j, band),
-                value: None,
-                busy: false,
-            })
-            .collect::<Vec<_>>(),
-    )?;
-    let total = (p + q - 1) as u64;
-    let mut best = NO_BEST;
-    for t in 0..total {
-        let (east, south) = mesh.cycle(
-            |r| (r as u64 == t).then_some((0, NO_BEST)),
-            |c| (c as u64 == t).then_some((0, (0, NO_BEST))),
-            |_, _| (),
-            injector,
-            sink,
-        );
-        // The apex's words leave on the final cycle carrying the
-        // global argmax (every cell is an ancestor of the apex).
-        if let Some((_, b)) = east[p - 1] {
-            best = b;
-        }
-        if let Some((_, (_, b))) = south[q - 1] {
-            best = b;
-        }
-    }
-    Ok(finish(best, mesh.stats().cycles(), mesh.stats().clone()))
-}
-
-/// Validates a batch for the SW and Gotoh batch drivers: non-empty,
-/// every pair shaped like instance 0 and inside the scoring alphabet.
-/// Returns instance 0's `(|a|, |b|)`.
-fn batch_shape(pairs: &[(&[u8], &[u8])], scoring: &Scoring) -> Result<(usize, usize), SdpError> {
-    if pairs.is_empty() {
-        return Err(SdpError::EmptyBatch);
-    }
-    let (p, q) = (pairs[0].0.len(), pairs[0].1.len());
-    for (index, (a, b)) in pairs.iter().enumerate() {
-        if (a.len(), b.len()) != (p, q) {
-            return Err(SdpError::BatchShapeMismatch { index });
-        }
-        scoring.subst.validate(a)?;
-        scoring.subst.validate(b)?;
-    }
-    Ok((p, q))
-}
-
-/// Packs the apex's per-instance argmax words into a batch result.
-fn batch_run(bests: &[BestCell], stats: Stats) -> BatchAlignRun {
-    BatchAlignRun {
+) -> Result<BatchAlignRun, SdpError> {
+    let (bests, stats) = wavefront(cell, pairs, injector, sink)?;
+    Ok(BatchAlignRun {
         scores: bests.iter().map(|b| b.0).collect(),
         ends: bests
             .iter()
@@ -619,68 +428,45 @@ fn batch_run(bests: &[BestCell], stats: Stats) -> BatchAlignRun {
             .collect(),
         cycles: stats.cycles(),
         stats,
-    }
+    })
 }
 
-/// The one true batched Smith–Waterman driver.
-fn sw_batch_core<S: TraceSink>(
-    pairs: &[(&[u8], &[u8])],
-    band: Option<usize>,
-    scoring: &Scoring,
+/// [`align_batch`] on the one pair `(a, b)`: the single-run result.
+fn align_one<W: Wavefront<Out = BestCell>, F: FaultInjector, S: TraceSink>(
+    cell: W,
+    a: &[u8],
+    b: &[u8],
+    injector: &mut F,
     sink: &mut S,
-) -> Result<BatchAlignRun, SdpError> {
-    let (p, q) = batch_shape(pairs, scoring)?;
-    let bn = pairs.len();
-    if p == 0 || q == 0 {
-        return Ok(batch_run(&vec![NO_BEST; bn], Stats::new(0)));
-    }
-    let mut mesh = Mesh2D::try_new(
-        p,
-        q,
-        (0..p)
-            .flat_map(|i| (0..q).map(move |j| (i, j)))
-            .map(|(i, j)| BatchSwPe {
-                subs: pairs
-                    .iter()
-                    .map(|(a, b)| scoring.subst.score(a[i], b[j]))
-                    .collect(),
-                gap: scoring.gap,
-                i: i as u32,
-                j: j as u32,
-                active: in_band(i, j, band),
-                fired: 0,
-                last: None,
-                busy: false,
-            })
-            .collect::<Vec<_>>(),
-    )?;
-    let total = (p + q - 2 + bn) as u64;
-    let mut bests = Vec::with_capacity(bn);
-    for t in 0..total {
-        let (east, _south) = mesh.cycle(
-            |r| {
-                let inst = t as i64 - r as i64;
-                (0..bn as i64).contains(&inst).then_some((0, NO_BEST))
-            },
-            |c| {
-                let inst = t as i64 - c as i64;
-                (0..bn as i64).contains(&inst).then_some((0, (0, NO_BEST)))
-            },
-            |_, _| (),
-            &mut NoFaults,
-            sink,
-        );
-        // The apex fires once per instance, in batch order.
-        if let Some((_, best)) = east[p - 1] {
-            bests.push(best);
-        }
-    }
-    debug_assert_eq!(bests.len(), bn);
-    Ok(batch_run(&bests, mesh.stats().clone()))
+) -> Result<AlignRun, SdpError> {
+    let run = align_batch(cell, &[(a, b)], injector, sink)?;
+    Ok(AlignRun {
+        score: run.scores[0],
+        end: run.ends[0],
+        cycles: run.cycles,
+        stats: run.stats,
+    })
 }
 
-/// Smith–Waterman local alignment on the wavefront mesh.  PE indices
-/// in `sink`'s events are row-major over the `|a| × |b|` mesh.
+fn sw_cell(scoring: &Scoring, band: Option<usize>) -> SwCell<'_> {
+    SwCell {
+        subst: &scoring.subst,
+        gap: scoring.gap,
+        band,
+    }
+}
+
+fn gotoh_cell(scoring: &Scoring) -> GotohCell<'_> {
+    GotohCell {
+        subst: &scoring.subst,
+        gap_open: scoring.gap_open,
+        gap_extend: scoring.gap_extend,
+    }
+}
+
+/// Smith–Waterman local alignment on the wavefront mesh: the batch of
+/// one.  PE indices in `sink`'s events are row-major over the
+/// `|a| × |b|` mesh.
 ///
 /// Empty operands short-circuit to the empty alignment (score 0, no
 /// endpoint, zero PEs).  Both word types carry `H[i][j]` in the leading
@@ -694,7 +480,7 @@ pub fn try_sw_mesh<F: FaultInjector, S: TraceSink>(
     injector: &mut F,
     sink: &mut S,
 ) -> Result<AlignRun, SdpError> {
-    sw_core(a, b, None, scoring, injector, sink)
+    align_one(sw_cell(scoring, None), a, b, injector, sink)
 }
 
 /// Streams a batch of same-shaped pairs through one mesh, wavefronts
@@ -712,7 +498,7 @@ pub fn sw_mesh_batch_traced<S: TraceSink>(
     scoring: &Scoring,
     sink: &mut S,
 ) -> Result<BatchAlignRun, SdpError> {
-    sw_batch_core(pairs, None, scoring, sink)
+    align_batch(sw_cell(scoring, None), pairs, &mut NoFaults, sink)
 }
 
 /// Banded Smith–Waterman: only cells with `|i − j| ≤ band` compute;
@@ -726,7 +512,7 @@ pub fn try_sw_banded_mesh<F: FaultInjector, S: TraceSink>(
     injector: &mut F,
     sink: &mut S,
 ) -> Result<AlignRun, SdpError> {
-    sw_core(a, b, Some(band), scoring, injector, sink)
+    align_one(sw_cell(scoring, Some(band)), a, b, injector, sink)
 }
 
 /// Batched banded Smith–Waterman (one band for the whole batch).
@@ -745,7 +531,7 @@ pub fn sw_banded_mesh_batch_traced<S: TraceSink>(
     scoring: &Scoring,
     sink: &mut S,
 ) -> Result<BatchAlignRun, SdpError> {
-    sw_batch_core(pairs, Some(band), scoring, sink)
+    align_batch(sw_cell(scoring, Some(band)), pairs, &mut NoFaults, sink)
 }
 
 /// Gotoh affine-gap local alignment on the wavefront mesh: three DP
@@ -760,46 +546,7 @@ pub fn try_gotoh_mesh<F: FaultInjector, S: TraceSink>(
     injector: &mut F,
     sink: &mut S,
 ) -> Result<AlignRun, SdpError> {
-    scoring.subst.validate(a)?;
-    scoring.subst.validate(b)?;
-    if a.is_empty() || b.is_empty() {
-        return Ok(empty_run());
-    }
-    let (p, q) = (a.len(), b.len());
-    let mut mesh = Mesh2D::try_new(
-        p,
-        q,
-        (0..p)
-            .flat_map(|i| (0..q).map(move |j| (i, j)))
-            .map(|(i, j)| GotohPe {
-                sub: scoring.subst.score(a[i], b[j]),
-                gap_open: scoring.gap_open,
-                gap_extend: scoring.gap_extend,
-                i: i as u32,
-                j: j as u32,
-                value: None,
-                busy: false,
-            })
-            .collect::<Vec<_>>(),
-    )?;
-    let total = (p + q - 1) as u64;
-    let mut best = NO_BEST;
-    for t in 0..total {
-        let (east, south) = mesh.cycle(
-            |r| (r as u64 == t).then_some((0, (OUT_OF_BAND, NO_BEST))),
-            |c| (c as u64 == t).then_some((0, (OUT_OF_BAND, 0, NO_BEST))),
-            |_, _| (),
-            injector,
-            sink,
-        );
-        if let Some((_, (_, b))) = east[p - 1] {
-            best = b;
-        }
-        if let Some((_, (_, _, b))) = south[q - 1] {
-            best = b;
-        }
-    }
-    Ok(finish(best, mesh.stats().cycles(), mesh.stats().clone()))
+    align_one(gotoh_cell(scoring), a, b, injector, sink)
 }
 
 /// Streams a batch of same-shaped pairs through one Gotoh mesh.
@@ -816,57 +563,7 @@ pub fn gotoh_mesh_batch_traced<S: TraceSink>(
     scoring: &Scoring,
     sink: &mut S,
 ) -> Result<BatchAlignRun, SdpError> {
-    let (p, q) = batch_shape(pairs, scoring)?;
-    let bn = pairs.len();
-    if p == 0 || q == 0 {
-        return Ok(batch_run(&vec![NO_BEST; bn], Stats::new(0)));
-    }
-    let mut mesh = Mesh2D::try_new(
-        p,
-        q,
-        (0..p)
-            .flat_map(|i| (0..q).map(move |j| (i, j)))
-            .map(|(i, j)| BatchGotohPe {
-                subs: pairs
-                    .iter()
-                    .map(|(a, b)| scoring.subst.score(a[i], b[j]))
-                    .collect(),
-                gap_open: scoring.gap_open,
-                gap_extend: scoring.gap_extend,
-                i: i as u32,
-                j: j as u32,
-                fired: 0,
-                last: None,
-                busy: false,
-            })
-            .collect::<Vec<_>>(),
-    )?;
-    let total = (p + q - 2 + bn) as u64;
-    let mut bests = Vec::with_capacity(bn);
-    for t in 0..total {
-        let (east, _south) = mesh.cycle(
-            |r| {
-                let inst = t as i64 - r as i64;
-                (0..bn as i64)
-                    .contains(&inst)
-                    .then_some((0, (OUT_OF_BAND, NO_BEST)))
-            },
-            |c| {
-                let inst = t as i64 - c as i64;
-                (0..bn as i64)
-                    .contains(&inst)
-                    .then_some((0, (OUT_OF_BAND, 0, NO_BEST)))
-            },
-            |_, _| (),
-            &mut NoFaults,
-            sink,
-        );
-        if let Some((_, (_, best))) = east[p - 1] {
-            bests.push(best);
-        }
-    }
-    debug_assert_eq!(bests.len(), bn);
-    Ok(batch_run(&bests, mesh.stats().clone()))
+    align_batch(gotoh_cell(scoring), pairs, &mut NoFaults, sink)
 }
 
 /// Recomputes the linear-gap `H` table on the `(ei+1) × (ej+1)` prefix

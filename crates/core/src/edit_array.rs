@@ -14,103 +14,99 @@
 //! realized by piggybacking: the word a cell sends **south** carries both
 //! its own value (the neighbour's "north") and the value it received from
 //! the **west** (the neighbour's "north-west").
+//!
+//! Independent instances pipeline through the same mesh one cycle
+//! apart, so a single run is simply a batch of one.  `wavefront` is the
+//! one driver for every anti-diagonal mesh in the crate: it builds the
+//! mesh, injects the boundary words on each instance's wavefront, runs
+//! the `p + q − 2 + B` schedule and collects one apex word per instance.
+//! An engine supplies only its cell recurrence (a `Wavefront` impl) —
+//! this module's edit cell, and Smith–Waterman (optionally banded) and
+//! Gotoh in [`crate::align`].
 
-use sdp_fault::{FaultInjector, NoFaults, SdpError};
+use sdp_fault::{FaultInjector, FaultyWord, NoFaults, SdpError};
 use sdp_systolic::{Mesh2D, MeshProcessingElement, Stats};
 use sdp_trace::{NullSink, TraceSink};
 
-/// The word sent south: `(D[i][j], D[i][j−1])` — value plus west input.
-type SouthWord = (u64, u64);
+/// The cell recurrence of an anti-diagonal wavefront mesh: everything
+/// that differs between the edit, Smith–Waterman and Gotoh engines.
+pub(crate) trait Wavefront: Copy {
+    /// West → east word.
+    type Horiz: FaultyWord;
+    /// North → south word.
+    type Vert: FaultyWord;
+    /// What cell `(i, j)` holds for one instance (weight-stationary).
+    type Preload: Copy;
+    /// One instance's result, read off the apex's east word.
+    type Out;
 
-/// One table cell.  Characters are preloaded (row `i` holds `a[i]`,
-/// column `j` holds `b[j]`), matching the weight-stationary convention.
-struct EditPe {
-    a: u8,
-    b: u8,
-    value: Option<u64>,
-    busy: bool,
-}
+    /// Cell `(i, j)`'s preload for the operand pair `(a, b)`.
+    fn preload(&self, a: &[u8], b: &[u8], i: usize, j: usize) -> Self::Preload;
 
-impl MeshProcessingElement for EditPe {
-    /// West → east: this cell's `D[i][j]` (the neighbour's "left").
-    type Horiz = u64;
-    /// North → south: `(D[i−1][j], D[i−1][j−1])`.
-    type Vert = SouthWord;
-    type Ctrl = ();
+    /// Cell `(i, j)` fires one instance: its east and south words, and
+    /// its value when it computes (`None` for a relay cell that only
+    /// forwards the wavefront; relays never report busy).
+    fn fire(
+        &self,
+        at: (u32, u32),
+        preload: Self::Preload,
+        west: Self::Horiz,
+        north: Self::Vert,
+    ) -> (Self::Horiz, Self::Vert, Option<i64>);
 
-    fn step(
-        &mut self,
-        west: Option<u64>,
-        north: Option<SouthWord>,
-        _: (),
-    ) -> (Option<u64>, Option<SouthWord>) {
-        self.busy = false;
-        if self.value.is_none() {
-            if let (Some(left), Some((up, diag))) = (west, north) {
-                let sub = if self.a == self.b { 0 } else { 1 };
-                let d = (left + 1).min(up + 1).min(diag + sub);
-                self.value = Some(d);
-                self.busy = true;
-                // Emit immediately: east carries D[i][j]; south carries
-                // (D[i][j], D[i][j-1]) for the cell below.
-                return (Some(d), Some((d, left)));
-            }
-        }
-        (None, None)
-    }
+    /// Boundary word entering row `r` from the west.
+    fn west_edge(&self, r: usize) -> Self::Horiz;
 
-    fn was_busy(&self) -> bool {
-        self.busy
-    }
+    /// Boundary word entering column `c` from the north.
+    fn north_edge(&self, c: usize) -> Self::Vert;
 
-    fn probe(&self) -> Option<i64> {
-        self.value.map(|v| v as i64)
+    /// The instance result carried by the apex's east word.
+    fn apex(&self, east: Self::Horiz) -> Self::Out;
+
+    /// The result when an operand is empty and no mesh is built.
+    fn empty(&self, p: usize, q: usize) -> Self::Out;
+
+    /// Typed validation of one operand pair (default: every pair runs).
+    fn validate(&self, _a: &[u8], _b: &[u8]) -> Result<(), SdpError> {
+        Ok(())
     }
 }
 
-/// One table cell of the batched mesh: per-instance character pairs are
-/// preloaded, and each wavefront that crosses the cell computes the next
-/// instance's value.  Instance `t`'s wavefront reaches cell `(i, j)` at
-/// cycle `i + j + t` — the instances ride one cycle apart, so the whole
-/// batch finishes in `p + q − 2 + B` cycles instead of `B·(p + q − 1)`.
-struct BatchEditPe {
-    /// `a_chars[t]` = instance `t`'s row character `a_t[i]`.
-    a_chars: Vec<u8>,
-    /// `b_chars[t]` = instance `t`'s column character `b_t[j]`.
-    b_chars: Vec<u8>,
+/// One table cell: per-instance preloads, and each wavefront that
+/// crosses the cell computes the next instance.  Instance `t`'s
+/// wavefront reaches cell `(i, j)` at cycle `i + j + t`.
+struct WavePe<W: Wavefront> {
+    cell: W,
+    at: (u32, u32),
+    /// `preloads[t]` = instance `t`'s preload for this cell.
+    preloads: Vec<W::Preload>,
     /// Instances computed so far (= the next instance index to fire).
     fired: usize,
-    /// Most recent value computed (waveform probe).
-    last: Option<u64>,
+    /// Most recent computed value (waveform probe).
+    last: Option<i64>,
     busy: bool,
 }
 
-impl MeshProcessingElement for BatchEditPe {
-    type Horiz = u64;
-    type Vert = SouthWord;
+impl<W: Wavefront> MeshProcessingElement for WavePe<W> {
+    type Horiz = W::Horiz;
+    type Vert = W::Vert;
     type Ctrl = ();
 
     fn step(
         &mut self,
-        west: Option<u64>,
-        north: Option<SouthWord>,
+        west: Option<W::Horiz>,
+        north: Option<W::Vert>,
         _: (),
-    ) -> (Option<u64>, Option<SouthWord>) {
+    ) -> (Option<W::Horiz>, Option<W::Vert>) {
         self.busy = false;
-        if self.fired < self.a_chars.len() {
-            if let (Some(left), Some((up, diag))) = (west, north) {
-                let t = self.fired;
-                let sub = if self.a_chars[t] == self.b_chars[t] {
-                    0
-                } else {
-                    1
-                };
-                let d = (left + 1).min(up + 1).min(diag + sub);
-                self.fired += 1;
-                self.last = Some(d);
-                self.busy = true;
-                return (Some(d), Some((d, left)));
-            }
+        if let (Some(&preload), Some(west), Some(north)) =
+            (self.preloads.get(self.fired), west, north)
+        {
+            let (east, south, value) = self.cell.fire(self.at, preload, west, north);
+            self.fired += 1;
+            self.last = value;
+            self.busy = value.is_some();
+            return (Some(east), Some(south));
         }
         (None, None)
     }
@@ -120,7 +116,127 @@ impl MeshProcessingElement for BatchEditPe {
     }
 
     fn probe(&self) -> Option<i64> {
-        self.last.map(|v| v as i64)
+        self.last
+    }
+}
+
+/// Streams a batch of same-shaped operand pairs through one `p × q`
+/// mesh with wavefronts one cycle apart, in `p + q − 2 + B` cycles; a
+/// single run is the batch of one (`p + q − 1` cycles).  Returns one
+/// result per instance, in batch order, plus the engine statistics.
+/// PE indices in `sink`'s events are row-major over the mesh.
+///
+/// An empty batch and pairs shaped unlike instance 0 are typed errors;
+/// empty operands short-circuit to [`Wavefront::empty`] with zero PEs.
+/// `injector`'s faults rewrite payloads but never drop a mesh word, so
+/// a faulty run keeps the schedule and the apex fires once per
+/// instance.
+pub(crate) fn wavefront<W: Wavefront, F: FaultInjector, S: TraceSink>(
+    cell: W,
+    pairs: &[(&[u8], &[u8])],
+    injector: &mut F,
+    sink: &mut S,
+) -> Result<(Vec<W::Out>, Stats), SdpError> {
+    if pairs.is_empty() {
+        return Err(SdpError::EmptyBatch);
+    }
+    let (p, q) = (pairs[0].0.len(), pairs[0].1.len());
+    for (index, (a, b)) in pairs.iter().enumerate() {
+        if (a.len(), b.len()) != (p, q) {
+            return Err(SdpError::BatchShapeMismatch { index });
+        }
+        cell.validate(a, b)?;
+    }
+    let bn = pairs.len();
+    if p == 0 || q == 0 {
+        return Ok(((0..bn).map(|_| cell.empty(p, q)).collect(), Stats::new(0)));
+    }
+    let mut mesh = Mesh2D::try_new(
+        p,
+        q,
+        (0..p)
+            .flat_map(|i| (0..q).map(move |j| (i, j)))
+            .map(|(i, j)| WavePe {
+                cell,
+                at: (i as u32, j as u32),
+                preloads: pairs
+                    .iter()
+                    .map(|(a, b)| cell.preload(a, b, i, j))
+                    .collect(),
+                fired: 0,
+                last: None,
+                busy: false,
+            })
+            .collect::<Vec<_>>(),
+    )?;
+    let mut out = Vec::with_capacity(bn);
+    for t in 0..p + q - 2 + bn {
+        // Cell (k, 0) fires instance `inst` at cycle k + inst, so row
+        // (or column) k takes a boundary word while t − k is a live
+        // instance.
+        let on_wavefront = |k: usize| (k..k + bn).contains(&t);
+        let (east, _south) = mesh.cycle(
+            |r| on_wavefront(r).then(|| cell.west_edge(r)),
+            |c| on_wavefront(c).then(|| cell.north_edge(c)),
+            |_, _| (),
+            injector,
+            sink,
+        );
+        // The apex fires once per instance, in batch order, and its word
+        // leaves the east edge of the last row the same cycle.
+        if let Some(word) = east[p - 1] {
+            out.push(cell.apex(word));
+        }
+    }
+    debug_assert_eq!(out.len(), bn);
+    Ok((out, mesh.stats().clone()))
+}
+
+/// The Levenshtein cell: `D[i][j]` from the west, north and piggybacked
+/// north-west values.
+#[derive(Clone, Copy)]
+struct EditCell;
+
+impl Wavefront for EditCell {
+    /// `D[i][j]` (the neighbour's "left").
+    type Horiz = u64;
+    /// `(D[i][j], D[i][j−1])` — value plus west input.
+    type Vert = (u64, u64);
+    /// The substitution cost `sub(aᵢ, bⱼ)`.
+    type Preload = u64;
+    type Out = u64;
+
+    fn preload(&self, a: &[u8], b: &[u8], i: usize, j: usize) -> u64 {
+        u64::from(a[i] != b[j])
+    }
+
+    fn fire(
+        &self,
+        _: (u32, u32),
+        sub: u64,
+        left: u64,
+        (up, diag): (u64, u64),
+    ) -> (u64, (u64, u64), Option<i64>) {
+        let d = (left + 1).min(up + 1).min(diag + sub);
+        (d, (d, left), Some(d as i64))
+    }
+
+    /// `D[r][−1] = r + 1`.
+    fn west_edge(&self, r: usize) -> u64 {
+        r as u64 + 1
+    }
+
+    /// `(D[−1][c], D[−1][c−1]) = (c + 1, c)`.
+    fn north_edge(&self, c: usize) -> (u64, u64) {
+        (c as u64 + 1, c as u64)
+    }
+
+    fn apex(&self, d: u64) -> u64 {
+        d
+    }
+
+    fn empty(&self, p: usize, q: usize) -> u64 {
+        (p + q) as u64
     }
 }
 
@@ -135,73 +251,29 @@ pub struct EditRun {
     pub stats: Stats,
 }
 
-/// Computes Levenshtein distance on the wavefront mesh.  PE indices in
-/// `sink`'s events are row-major over the `|a| × |b|` mesh.
+/// Computes Levenshtein distance on the wavefront mesh: the batch of
+/// one.  PE indices in `sink`'s events are row-major over the
+/// `|a| × |b|` mesh.
 ///
-/// Empty operands short-circuit to the other operand's length (a 0-sized
-/// mesh cannot be built).  Both mesh word types (`u64` east, `(u64, u64)`
-/// south) carry the cell value in the leading position, so `injector`'s
-/// faults perturb `D[i][j]` while the piggybacked west value and the
-/// wavefront timing stay intact: a faulty run finishes in the same
-/// `|a| + |b| − 1` cycles with a (possibly) wrong distance — exactly the
-/// silent-data-corruption model the recovery wrappers detect.
+/// Empty operands short-circuit to the other operand's length with
+/// zero PEs (a 0-sized mesh cannot be built).  Both mesh word types
+/// (`u64` east, `(u64, u64)` south) carry the cell value in the leading
+/// position, so `injector`'s faults perturb `D[i][j]` while the
+/// piggybacked west value and the wavefront timing stay intact: a
+/// faulty run finishes in the same `|a| + |b| − 1` cycles with a
+/// (possibly) wrong distance — exactly the silent-data-corruption model
+/// the recovery wrappers detect.
 pub fn try_edit_distance_mesh<F: FaultInjector, S: TraceSink>(
     a: &[u8],
     b: &[u8],
     injector: &mut F,
     sink: &mut S,
 ) -> Result<EditRun, SdpError> {
-    if a.is_empty() || b.is_empty() {
-        // No mesh is built and no cycle runs, so the stats must report
-        // zero PEs — not a phantom idle processor.
-        return Ok(EditRun {
-            distance: (a.len() + b.len()) as u64,
-            cycles: 0,
-            stats: Stats::new(0),
-        });
-    }
-    let (p, q) = (a.len(), b.len());
-    let mut mesh = Mesh2D::try_new(
-        p,
-        q,
-        (0..p)
-            .flat_map(|i| (0..q).map(move |j| (i, j)))
-            .map(|(i, j)| EditPe {
-                a: a[i],
-                b: b[j],
-                value: None,
-                busy: false,
-            })
-            .collect::<Vec<_>>(),
-    )?;
-    let total = (p + q - 1) as u64;
-    let mut result = None;
-    for t in 0..total {
-        // Boundary injections arrive exactly on the wavefront:
-        // cell (r, 0) computes at cycle r and needs D[r][-1] = r + 1;
-        // cell (0, c) needs (D[-1][c], D[-1][c-1]) = (c + 1, c).
-        let (east, south) = mesh.cycle(
-            |r| (r as u64 == t).then(|| r as u64 + 1),
-            |c| (c as u64 == t).then(|| (c as u64 + 1, c as u64)),
-            |_, _| (),
-            injector,
-            sink,
-        );
-        // The apex value leaves the east edge of the last row (or the
-        // south edge of the last column) on the final cycle.
-        if let Some(d) = east[p - 1] {
-            result = Some(d);
-        }
-        if let Some((d, _)) = south[q - 1] {
-            result = Some(d);
-        }
-    }
-    // Value faults never suppress a firing (the corrupt hook rewrites
-    // payloads, it cannot drop mesh words), so the apex always emits.
+    let (distances, stats) = wavefront(EditCell, &[(a, b)], injector, sink)?;
     Ok(EditRun {
-        distance: result.expect("apex cell fired on the last cycle"),
-        cycles: mesh.stats().cycles(),
-        stats: mesh.stats().clone(),
+        distance: distances[0],
+        cycles: stats.cycles(),
+        stats,
     })
 }
 
@@ -240,68 +312,11 @@ pub fn edit_distance_mesh_batch_traced<S: TraceSink>(
     pairs: &[(&[u8], &[u8])],
     sink: &mut S,
 ) -> Result<BatchEditRun, SdpError> {
-    if pairs.is_empty() {
-        return Err(SdpError::EmptyBatch);
-    }
-    let (p, q) = (pairs[0].0.len(), pairs[0].1.len());
-    for (index, (a, b)) in pairs.iter().enumerate() {
-        if (a.len(), b.len()) != (p, q) {
-            return Err(SdpError::BatchShapeMismatch { index });
-        }
-    }
-    let bn = pairs.len();
-    if p == 0 || q == 0 {
-        return Ok(BatchEditRun {
-            distances: vec![(p + q) as u64; bn],
-            cycles: 0,
-            stats: Stats::new(0),
-        });
-    }
-    let mut mesh = Mesh2D::try_new(
-        p,
-        q,
-        (0..p)
-            .flat_map(|i| (0..q).map(move |j| (i, j)))
-            .map(|(i, j)| BatchEditPe {
-                a_chars: pairs.iter().map(|(a, _)| a[i]).collect(),
-                b_chars: pairs.iter().map(|(_, b)| b[j]).collect(),
-                fired: 0,
-                last: None,
-                busy: false,
-            })
-            .collect::<Vec<_>>(),
-    )?;
-    let total = (p + q - 2 + bn) as u64;
-    let mut distances = Vec::with_capacity(bn);
-    for t in 0..total {
-        // Instance `inst`'s boundary values arrive on its wavefront:
-        // cell (r, 0) fires instance `inst` at cycle r + inst.
-        let (east, _south) = mesh.cycle(
-            |r| {
-                let inst = t as i64 - r as i64;
-                (0..bn as i64).contains(&inst).then(|| r as u64 + 1)
-            },
-            |c| {
-                let inst = t as i64 - c as i64;
-                (0..bn as i64)
-                    .contains(&inst)
-                    .then(|| (c as u64 + 1, c as u64))
-            },
-            |_, _| (),
-            &mut NoFaults,
-            sink,
-        );
-        // The apex cell fires once per instance, in batch order, and its
-        // value leaves the east edge of the last row the same cycle.
-        if let Some(d) = east[p - 1] {
-            distances.push(d);
-        }
-    }
-    debug_assert_eq!(distances.len(), bn);
+    let (distances, stats) = wavefront(EditCell, pairs, &mut NoFaults, sink)?;
     Ok(BatchEditRun {
         distances,
-        cycles: mesh.stats().cycles(),
-        stats: mesh.stats().clone(),
+        cycles: stats.cycles(),
+        stats,
     })
 }
 

@@ -23,34 +23,11 @@ use sdp_semiring::{Matrix, Semiring};
 use sdp_systolic::{Mesh2D, MeshProcessingElement, Stats};
 use sdp_trace::{Event, NullSink, TraceSink};
 
-/// Multiply-accumulate PE: result element stays in place, operands pass.
-struct MacPe<S> {
-    acc: S,
-    busy: bool,
-}
-
-impl<S: Semiring> MeshProcessingElement for MacPe<S> {
-    type Horiz = S;
-    type Vert = S;
-    type Ctrl = ();
-
-    fn step(&mut self, west: Option<S>, north: Option<S>, _: ()) -> (Option<S>, Option<S>) {
-        self.busy = west.is_some() && north.is_some();
-        if let (Some(a), Some(b)) = (west, north) {
-            self.acc = self.acc.add(a.mul(b));
-        }
-        (west, north)
-    }
-
-    fn was_busy(&self) -> bool {
-        self.busy
-    }
-}
-
-/// Multiply-accumulate PE for batched runs: operand words carry an
-/// instance tag, and a tag change retires the finished accumulator into
-/// the drain list — the software model of a result-stationary array
-/// streaming `B` independent products back-to-back.
+/// Multiply-accumulate PE: the result element stays in place while the
+/// operands pass through.  Operand words carry an instance tag, and a
+/// tag change retires the finished accumulator into the drain list —
+/// the software model of a result-stationary array streaming `B`
+/// independent products back-to-back (a single product is `B = 1`).
 struct BatchMacPe<S> {
     acc: S,
     inst: u32,
@@ -160,6 +137,37 @@ impl MatmulArray {
         pairs: &[(Matrix<S>, Matrix<S>)],
         sink: &mut K,
     ) -> Result<BatchMatmulRun<S>, SdpError> {
+        let pairs: Vec<_> = pairs.iter().map(|(a, b)| (a, b)).collect();
+        Self::batch_core(&pairs, &mut NoFaults, sink)
+    }
+
+    /// Multiplies `a · b` on a `p × r` mesh over any corruptible
+    /// [`Semiring`] — the batch of one; mismatched inner dimensions are a
+    /// typed error.  PE indices in `sink`'s events are row-major over the
+    /// mesh; operand streams appear as `WordIn` on the west/north edges.
+    /// `injector` corrupts the operand words a PE drives east and south.
+    pub fn try_multiply<S: Semiring + FaultyWord, F: FaultInjector, K: TraceSink>(
+        a: &Matrix<S>,
+        b: &Matrix<S>,
+        injector: &mut F,
+        sink: &mut K,
+    ) -> Result<MatmulRun<S>, SdpError> {
+        let mut run = Self::batch_core(&[(a, b)], injector, sink)?;
+        Ok(MatmulRun {
+            product: run.products.pop().expect("one product per instance"),
+            cycles: run.cycles,
+            stats: run.stats,
+        })
+    }
+
+    /// The one result-stationary mesh driver: streams `pairs` through a
+    /// `p × r` mesh back-to-back, instance `t`'s operands entering `t·q`
+    /// cycles after instance 0's.
+    fn batch_core<S: Semiring + FaultyWord, F: FaultInjector, K: TraceSink>(
+        pairs: &[(&Matrix<S>, &Matrix<S>)],
+        injector: &mut F,
+        sink: &mut K,
+    ) -> Result<BatchMatmulRun<S>, SdpError> {
         if pairs.is_empty() {
             return Err(SdpError::EmptyBatch);
         }
@@ -210,7 +218,7 @@ impl MatmulArray {
                     (inst < bn).then(|| (pairs[inst].1.get(k, j), inst as u32))
                 },
                 |_, _| (),
-                &mut NoFaults,
+                injector,
                 sink,
             );
         }
@@ -228,60 +236,6 @@ impl MatmulArray {
             products,
             cycles: mesh.stats().cycles(),
             serial_ops: (bn * p * q * r) as u64,
-            stats: mesh.stats().clone(),
-        })
-    }
-
-    /// Multiplies `a · b` on a `p × r` mesh over any corruptible
-    /// [`Semiring`]; mismatched inner dimensions are a typed error.  PE
-    /// indices in `sink`'s events are row-major over the mesh; operand
-    /// streams appear as `WordIn` on the west/north edges.  `injector`
-    /// corrupts the operand words a PE drives east and south.
-    pub fn try_multiply<S: Semiring + FaultyWord, F: FaultInjector, K: TraceSink>(
-        a: &Matrix<S>,
-        b: &Matrix<S>,
-        injector: &mut F,
-        sink: &mut K,
-    ) -> Result<MatmulRun<S>, SdpError> {
-        if a.cols() != b.rows() {
-            return Err(SdpError::InnerDimMismatch {
-                left_cols: a.cols(),
-                right_rows: b.rows(),
-            });
-        }
-        let (p, q, r) = (a.rows(), a.cols(), b.cols());
-        let mut mesh = Mesh2D::new(
-            p,
-            r,
-            (0..p * r)
-                .map(|_| MacPe {
-                    acc: S::zero(),
-                    busy: false,
-                })
-                .collect::<Vec<_>>(),
-        );
-        let total = Self::t1(p, q, r);
-        for t in 0..total {
-            mesh.cycle(
-                |i| {
-                    // a_{i,k} enters row i at cycle i + k
-                    let k = t as i64 - i as i64;
-                    (0..q as i64).contains(&k).then(|| a.get(i, k as usize))
-                },
-                |j| {
-                    // b_{k,j} enters column j at cycle j + k
-                    let k = t as i64 - j as i64;
-                    (0..q as i64).contains(&k).then(|| b.get(k as usize, j))
-                },
-                |_, _| (),
-                injector,
-                sink,
-            );
-        }
-        let product = Matrix::from_fn(p, r, |i, j| mesh.pe(i, j).acc);
-        Ok(MatmulRun {
-            product,
-            cycles: mesh.stats().cycles(),
             stats: mesh.stats().clone(),
         })
     }

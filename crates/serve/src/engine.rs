@@ -535,8 +535,8 @@ mod tests {
         };
         assert_eq!(body_work(&small), 4);
         assert_eq!(body_work(&big), 10_000);
-        assert_eq!(choose(&[small.clone()], 4096), EngineKind::Sim);
-        assert_eq!(choose(&[big.clone()], 4096), EngineKind::Direct);
+        assert_eq!(choose(std::slice::from_ref(&small), 4096), EngineKind::Sim);
+        assert_eq!(choose(std::slice::from_ref(&big), 4096), EngineKind::Direct);
         assert_eq!(choose(&[big], u64::MAX), EngineKind::Sim, "MAX pins sim");
         assert_eq!(choose(&[small], 0), EngineKind::Direct);
         // AND/OR measures zero work, so any positive threshold keeps it
@@ -597,6 +597,29 @@ mod tests {
             batched[0].as_ref().unwrap().render(),
             sdp_oracle::served::served_knapsack(&[(1, 1), (3, 4), (4, 5), (5, 7)], 7).render()
         );
+    }
+
+    #[test]
+    fn overweight_knapsack_items_cost_no_more_than_the_capacity() {
+        let doc = crate::json::parse(
+            r#"{"id":1,"kind":"knapsack","weights":[1000000000000000,2],"values":[5,3],"capacity":3}"#,
+        )
+        .unwrap();
+        let body = match crate::protocol::decode(&doc).unwrap() {
+            crate::protocol::Request::Compute { body, .. } => body,
+            other => panic!("decoded {other:?}"),
+        };
+        let want =
+            sdp_oracle::served::served_knapsack(&[(1_000_000_000_000_000, 5), (2, 3)], 3).render();
+        for kind in [EngineKind::Sim, EngineKind::Direct] {
+            let body = body.clone();
+            let got = sdp_par::watchdog(
+                "overweight-knapsack",
+                std::time::Duration::from_secs(10),
+                move || run_bucket_on(kind, Class::Knapsack, &[body]),
+            );
+            assert_eq!(got[0].as_ref().unwrap().render(), want, "{kind:?}");
+        }
     }
 
     #[test]

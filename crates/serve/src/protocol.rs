@@ -606,10 +606,15 @@ pub fn decode(doc: &Json) -> Result<Request, SdpError> {
             if !(0..=100_000).contains(&capacity) {
                 return Err(bad("'capacity' must be in 0..=100000"));
             }
+            // The simulator spaces items `w + 1` cycles apart, so an
+            // unbounded weight is unbounded work.  An item heavier than
+            // the capacity fits nowhere, and every such weight answers
+            // alike: clamping to `capacity + 1` bounds the work by the
+            // request without changing any payload.
             let items = weights
                 .into_iter()
                 .zip(values)
-                .map(|(w, v)| KnapsackItem::new(w, v))
+                .map(|(w, v)| KnapsackItem::new(w.min(capacity as u64 + 1), v))
                 .collect();
             Body::Knapsack {
                 items,

@@ -658,7 +658,7 @@ mod tests {
         let rate = 64.0_f64 / 30.0; // jobs per ms
         let want = (64.0 / rate).ceil() as u64;
         assert_eq!(hint, want);
-        assert!(hint >= 25 && hint <= 35, "hint {hint} tracks the rate");
+        assert!((25..=35).contains(&hint), "hint {hint} tracks the rate");
 
         // Stale history (last flush long ago) falls back to the window
         // formula instead of trusting a dead dispatcher's old rate.

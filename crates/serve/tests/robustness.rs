@@ -68,7 +68,22 @@ fn shed_requests_carry_retry_hints_and_the_retry_policy_recovers() {
             .send_raw(&client::edit_request(1, "queue", "pinner"))
             .expect("pin the queue");
 
+        // The pinner and the probe arrive on different connections, so
+        // different event-loop workers may enqueue them in either order.
+        // Wait until the pinner holds the queue before probing.
         let mut shed = Client::connect(addr).expect("connect");
+        let pinned_by = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let doc = shed.metrics().expect("metrics").result.expect("payload");
+            if json::get(&doc, "queue_depth").and_then(json::as_i64) == Some(1) {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < pinned_by,
+                "the pinner never reached the queue"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let line = client::edit_request(2, "shed", "me");
         let resp = shed.call_raw(&line).expect("call");
         assert!(!resp.ok);
