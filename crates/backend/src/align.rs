@@ -7,6 +7,13 @@
 //! argmax endpoints (ties toward the smallest `(i, j)` row-major) are
 //! bit-identical.
 //!
+//! The cell loops do no per-cell bookkeeping: each kernel is
+//! monomorphised over its substitution scores (a compare or a table
+//! load, not a match on [`Subst`]), a banded row runs over its in-band
+//! column range only, and the argmax is a branch-free fold of the row
+//! maximum whose first column is looked up only on the rare rows that
+//! beat the running best.
+//!
 //! Stats are the mesh's closed forms: `p + q − 1` cycles
 //! (`p + q − 2 + B` batched), each in-band PE busy once per instance
 //! (out-of-band relays never), `p + q` words in and `p + q` words out
@@ -39,10 +46,12 @@ fn validate(subst: &Subst, operand: &[u8]) -> Result<(), SdpError> {
     Ok(())
 }
 
-fn in_band(i: usize, j: usize, band: Option<usize>) -> bool {
+/// Row `i`'s in-band columns: `|i − j| ≤ band`, clipped to the mesh.
+/// Empty (`lo > hi`) once the band has slid past the last column.
+fn band_cols(i: usize, q: usize, band: Option<usize>) -> (usize, usize) {
     match band {
-        None => true,
-        Some(w) => (i as i64 - j as i64).unsigned_abs() <= w as u64,
+        None => (0, q - 1),
+        Some(w) => (i.saturating_sub(w), (i.saturating_add(w)).min(q - 1)),
     }
 }
 
@@ -65,10 +74,13 @@ fn diag_active(t: i64, p: usize, q: usize, band: Option<usize>) -> bool {
 /// per in-band cell, stalls on wavefront cycles with no in-band work.
 fn mesh_stats(p: usize, q: usize, bn: usize, band: Option<usize>) -> Stats {
     let cycles = (p + q - 2 + bn) as u64;
-    let busy = (0..p)
-        .flat_map(|i| (0..q).map(move |j| (i, j)))
-        .map(|(i, j)| if in_band(i, j, band) { bn as u64 } else { 0 })
-        .collect();
+    let mut busy = vec![0; p * q];
+    for (i, row) in busy.chunks_exact_mut(q).enumerate() {
+        let (lo, hi) = band_cols(i, q, band);
+        if lo <= hi {
+            row[lo..=hi].fill(bn as u64);
+        }
+    }
     let io = (bn * (p + q)) as u64;
     let stalls = (0..cycles as i64)
         .filter(|&t| !(0..bn as i64).any(|k| diag_active(t - k, p, q, band)))
@@ -88,66 +100,141 @@ fn empty_run() -> AlignRun {
     }
 }
 
+/// Folds one finished row into the running best.  The row maximum is a
+/// branch-free fold; its first column is searched for only when the
+/// row beats the best so far, which keeps the row-major first-strict
+/// maximum of the per-cell scan.
+fn merge_row(best: &mut BestCell, i: usize, lo: usize, cells: &[i64]) {
+    let row_max = cells.iter().fold(i64::MIN, |acc, &h| acc.max(h));
+    if row_max > best.0 {
+        let j = cells
+            .iter()
+            .position(|&h| h == row_max)
+            .expect("the maximum is in the row");
+        *best = (row_max, i, lo + j);
+    }
+}
+
 /// Rolling-row linear-gap Smith–Waterman over an optional band,
-/// returning the score and argmax endpoint.
-fn sw_rows(a: &[u8], b: &[u8], band: Option<usize>, sc: &Scoring) -> BestCell {
+/// returning the score and argmax endpoint.  Each row runs over its
+/// in-band column range only.
+fn sw_rows(
+    a: &[u8],
+    b: &[u8],
+    band: Option<usize>,
+    gap: i64,
+    score: impl Fn(u8, u8) -> i64,
+) -> BestCell {
     let q = b.len();
     let mut prev = vec![0i64; q + 1]; // H[i−1][·], boundary 0
     let mut cur = vec![0i64; q + 1];
     let mut best: BestCell = (0, usize::MAX, usize::MAX);
     for (i, &ca) in a.iter().enumerate() {
-        cur[0] = 0;
-        for (j, &cb) in b.iter().enumerate() {
-            let h = if in_band(i, j, band) {
-                0i64.max(prev[j].saturating_add(sc.subst.score(ca, cb)))
-                    .max(prev[j + 1].saturating_sub(sc.gap))
-                    .max(cur[j].saturating_sub(sc.gap))
-            } else {
-                OUT_OF_BAND
-            };
-            cur[j + 1] = h;
-            if h > best.0 {
-                best = (h, i, j);
-            }
+        let (lo, hi) = band_cols(i, q, band);
+        if lo > hi {
+            break; // the band has left the mesh: no later row is in band
         }
+        // Cell (i, j) lives at index j + 1.  The left neighbour of the
+        // first in-band cell and the cell past the last one are the
+        // only out-of-band cells this row or the next reads, so they
+        // carry the mesh's sentinel; column −1 is the zero boundary.
+        cur[lo] = if lo == 0 { 0 } else { OUT_OF_BAND };
+        if hi + 2 <= q {
+            cur[hi + 2] = OUT_OF_BAND;
+        }
+        let mut left = cur[lo];
+        let ups = prev[lo..=hi + 1].windows(2);
+        for ((h, &cb), up) in cur[lo + 1..=hi + 1].iter_mut().zip(&b[lo..=hi]).zip(ups) {
+            left = 0i64
+                .max(up[0].saturating_add(score(ca, cb)))
+                .max(up[1].saturating_sub(gap))
+                .max(left.saturating_sub(gap));
+            *h = left;
+        }
+        merge_row(&mut best, i, lo, &cur[lo + 1..=hi + 1]);
         std::mem::swap(&mut prev, &mut cur);
     }
     best
 }
 
 /// Rolling-row Gotoh (affine gaps), same saturating arithmetic as the
-/// three-layer PE.
-fn gotoh_rows(a: &[u8], b: &[u8], sc: &Scoring) -> BestCell {
+/// three-layer PE.  A row runs in three passes: `max(0, F)` (vertical
+/// gaps), then the diagonal term, read only the previous row, so they
+/// carry no dependency between columns; only the `E`/`H` left-to-right
+/// chain is serial.  `max` is exact, so regrouping the PE's
+/// `max(0, diag + s, E, F)` changes no value.
+fn gotoh_rows(a: &[u8], b: &[u8], sc: &Scoring, score: impl Fn(u8, u8) -> i64) -> BestCell {
+    let (open, extend) = (sc.gap_open, sc.gap_extend);
     let q = b.len();
     let mut h_prev = vec![0i64; q + 1];
     let mut h_cur = vec![0i64; q + 1];
-    let mut f_prev = vec![OUT_OF_BAND; q + 1]; // F undefined above row 0
-    let mut f_cur = vec![0i64; q + 1];
+    let mut f = vec![OUT_OF_BAND; q]; // F undefined above row 0
     let mut best: BestCell = (0, usize::MAX, usize::MAX);
     for (i, &ca) in a.iter().enumerate() {
-        h_cur[0] = 0;
-        let mut e = OUT_OF_BAND; // E undefined left of column 0
-        for (j, &cb) in b.iter().enumerate() {
-            e = h_cur[j]
-                .saturating_sub(sc.gap_open)
-                .max(e.saturating_sub(sc.gap_extend));
-            let f = h_prev[j + 1]
-                .saturating_sub(sc.gap_open)
-                .max(f_prev[j + 1].saturating_sub(sc.gap_extend));
-            let h = 0i64
-                .max(h_prev[j].saturating_add(sc.subst.score(ca, cb)))
-                .max(e)
-                .max(f);
-            h_cur[j + 1] = h;
-            f_cur[j + 1] = f;
-            if h > best.0 {
-                best = (h, i, j);
-            }
+        let row = &mut h_cur[1..];
+        for ((h, fj), &up) in row.iter_mut().zip(&mut f).zip(&h_prev[1..]) {
+            *fj = up.saturating_sub(open).max(fj.saturating_sub(extend));
+            *h = (*fj).max(0);
         }
+        for ((h, &diag), &cb) in row.iter_mut().zip(&h_prev).zip(b) {
+            *h = (*h).max(diag.saturating_add(score(ca, cb)));
+        }
+        let mut left = 0i64; // H[i][−1]
+        let mut e = OUT_OF_BAND; // E undefined left of column 0
+        for h in row.iter_mut() {
+            e = left.saturating_sub(open).max(e.saturating_sub(extend));
+            left = (*h).max(e);
+            *h = left;
+        }
+        merge_row(&mut best, i, 0, row);
         std::mem::swap(&mut h_prev, &mut h_cur);
-        std::mem::swap(&mut f_prev, &mut f_cur);
     }
     best
+}
+
+/// The run's kernel — Gotoh for affine runs, banded or full
+/// Smith–Waterman otherwise — monomorphised over the substitution
+/// scores, so the per-cell score is a compare or a table load rather
+/// than a match on [`Subst`].
+fn rows(a: &[u8], b: &[u8], band: Option<usize>, sc: &Scoring, affine: bool) -> BestCell {
+    match &sc.subst {
+        Subst::Simple {
+            matched,
+            mismatched,
+        } => {
+            let (hit, miss) = (*matched, *mismatched);
+            run_kernel(
+                a,
+                b,
+                band,
+                sc,
+                affine,
+                move |x, y| if x == y { hit } else { miss },
+            )
+        }
+        Subst::Matrix { alphabet, scores } => {
+            let k = *alphabet as usize;
+            run_kernel(a, b, band, sc, affine, move |x, y| {
+                scores[x as usize * k + y as usize]
+            })
+        }
+    }
+}
+
+/// The affine or linear-gap kernel for one score closure.
+fn run_kernel(
+    a: &[u8],
+    b: &[u8],
+    band: Option<usize>,
+    sc: &Scoring,
+    affine: bool,
+    score: impl Fn(u8, u8) -> i64,
+) -> BestCell {
+    if affine {
+        gotoh_rows(a, b, sc, score)
+    } else {
+        sw_rows(a, b, band, sc.gap, score)
+    }
 }
 
 fn run_from(best: BestCell, stats: Stats) -> AlignRun {
@@ -171,11 +258,7 @@ fn single(
     if a.is_empty() || b.is_empty() {
         return Ok(empty_run());
     }
-    let best = if affine {
-        gotoh_rows(a, b, sc)
-    } else {
-        sw_rows(a, b, band, sc)
-    };
+    let best = rows(a, b, band, sc, affine);
     Ok(run_from(best, mesh_stats(a.len(), b.len(), 1, band)))
 }
 
@@ -207,13 +290,7 @@ fn batch(
     }
     let bests: Vec<BestCell> = pairs
         .iter()
-        .map(|(a, b)| {
-            if affine {
-                gotoh_rows(a, b, sc)
-            } else {
-                sw_rows(a, b, band, sc)
-            }
-        })
+        .map(|(a, b)| rows(a, b, band, sc, affine))
         .collect();
     let stats = mesh_stats(p, q, bn, band);
     Ok(BatchAlignRun {

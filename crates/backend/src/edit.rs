@@ -2,11 +2,16 @@
 //!
 //! The mesh assigns one PE per cell of the `|a| × |b|` DP table and
 //! sweeps it in `|a| + |b| − 1` anti-diagonal wavefronts.  The direct
-//! solver computes the same table with rolling rows — O(min(m, n))
-//! memory — tiled into column strips so the active row segment and the
-//! strip's boundary column stay cache-resident on large inputs.
-//! Levenshtein distance is a single u64 per pair, so any correct
-//! evaluation order is bit-identical to the mesh.
+//! solver evaluates 64 rows of a DP column per machine word with the
+//! Myers/Hyyrö bit-parallel recurrence: each column of the table is
+//! kept as its vertical deltas (`D[i][j] − D[i−1][j] ∈ {−1, 0, +1}`,
+//! two bit vectors), and one column step is a dozen word operations
+//! per 64 cells, with no data-dependent branch.  The shorter operand is
+//! the pattern (distance is symmetric), so the vectors take
+//! ⌈min(|a|, |b|)/64⌉ words and the match masks O(σ·⌈min/64⌉) for the
+//! σ distinct symbols of the pattern.  Levenshtein distance is a single
+//! u64 per pair, so any correct evaluation order is bit-identical to
+//! the mesh.
 //!
 //! Stats are the mesh's closed forms: `|a| + |b| − 1` cycles
 //! (`p + q − 2 + B` batched, wavefronts one cycle apart), each of the
@@ -18,46 +23,67 @@ use sdp_core::edit_array::{BatchEditRun, EditRun};
 use sdp_fault::SdpError;
 use sdp_systolic::Stats;
 
-/// Column-strip width: strips of 1024 u64 cells (8 KiB) plus the two
-/// boundary columns stay L1-resident regardless of operand lengths.
-const STRIP: usize = 1024;
+/// Bits per block of DP rows.
+const WORD: usize = u64::BITS as usize;
 
-/// Tiled rolling-row Levenshtein.  The shorter operand is the inner
-/// (column) dimension — distance is symmetric — so memory is
-/// O(min(|a|, |b|)) plus the two O(max) boundary columns.
-fn levenshtein_tiled(a: &[u8], b: &[u8]) -> u64 {
-    let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let (m, n) = (outer.len(), inner.len());
-    // `left[i]` = D[i][j₀−1], the column entering the current strip;
-    // `right[i]` collects D[i][j₁] leaving it.
-    let mut left: Vec<u64> = (0..=m as u64).collect();
-    let mut right: Vec<u64> = vec![0; m + 1];
-    let mut seg = [0u64; STRIP];
-    let mut j0 = 1usize;
-    while j0 <= n {
-        let j1 = (j0 + STRIP - 1).min(n); // inclusive strip end
-        let w = j1 - j0 + 1;
-        for (t, s) in seg.iter_mut().take(w).enumerate() {
-            *s = (j0 + t) as u64; // row 0: D[0][j] = j
+/// One column step of a 64-row block (Myers 1999, Fig. 9 with
+/// Hyyrö's carry handling).  `pv`/`mv` hold the block's vertical +1/−1
+/// deltas; `hp`/`hm` (0 or 1) are the horizontal delta entering at the
+/// block's top row.  Returns the horizontal +1/−1 delta bits at row
+/// `bit` of the block — the carry into the next block for `bit = 63`.
+#[inline(always)]
+fn advance_block(pv: &mut u64, mv: &mut u64, eq: u64, hp: u64, hm: u64, bit: u32) -> (u64, u64) {
+    let (p, m) = (*pv, *mv);
+    let xv = eq | m;
+    let eq = eq | hm; // a −1 entering from above acts as a match
+    let xh = ((eq & p).wrapping_add(p) ^ p) | eq;
+    let ph = m | !(xh | p);
+    let mh = p & xh;
+    let out = ((ph >> bit) & 1, (mh >> bit) & 1);
+    let ph = (ph << 1) | hp;
+    let mh = (mh << 1) | hm;
+    *pv = mh | !(xv | ph);
+    *mv = ph & xv;
+    out
+}
+
+/// Bit-parallel Levenshtein distance.  Rows are the shorter operand,
+/// columns the longer; the running score is `D[m][j]`, advanced by the
+/// horizontal delta at the pattern's last row.  Rows below it in the
+/// last block have empty match masks and, since deltas only flow
+/// downward, never feed back into row `m`.
+fn levenshtein_bits(a: &[u8], b: &[u8]) -> u64 {
+    let (text, pattern) = if a.len() >= b.len() { (a, b) } else { (b, a) };
+    let m = pattern.len();
+    let words = m.div_ceil(WORD);
+    // `slot[c]` indexes symbol c's match mask in `peq`; slot 0 is the
+    // all-zero mask every symbol absent from the pattern shares.
+    let mut slot = [0u16; 256];
+    let mut peq = vec![0u64; words];
+    for (i, &c) in pattern.iter().enumerate() {
+        if slot[c as usize] == 0 {
+            slot[c as usize] = (peq.len() / words) as u16;
+            peq.resize(peq.len() + words, 0);
         }
-        right[0] = j1 as u64;
-        for i in 1..=m {
-            let mut diag = left[i - 1]; // D[i−1][j₀−1]
-            let mut cur = left[i]; // D[i][j−1], starting at the boundary
-            let oc = outer[i - 1];
-            for (t, s) in seg.iter_mut().take(w).enumerate() {
-                let up = *s; // D[i−1][j]
-                let sub = if oc == inner[j0 + t - 1] { 0 } else { 1 };
-                cur = (up + 1).min(cur + 1).min(diag + sub);
-                diag = up;
-                *s = cur;
-            }
-            right[i] = cur;
-        }
-        std::mem::swap(&mut left, &mut right);
-        j0 = j1 + 1;
+        peq[slot[c as usize] as usize * words + i / WORD] |= 1 << (i % WORD);
     }
-    left[m]
+    // Column 0: D[i][0] = i, every vertical delta +1.
+    let mut pv = vec![!0u64; words];
+    let mut mv = vec![0u64; words];
+    let last = words - 1;
+    let last_bit = ((m - 1) % WORD) as u32;
+    let mut score = m as u64;
+    for &c in text {
+        let eq = &peq[slot[c as usize] as usize * words..][..words];
+        // Row 0: D[0][j] = j, a +1 horizontal delta into every column.
+        let (mut hp, mut hm) = (1, 0);
+        for ((pw, mw), &ew) in pv[..last].iter_mut().zip(&mut mv[..last]).zip(eq) {
+            (hp, hm) = advance_block(pw, mw, ew, hp, hm, 63);
+        }
+        let (p, n) = advance_block(&mut pv[last], &mut mv[last], eq[last], hp, hm, last_bit);
+        score = score + p - n;
+    }
+    score
 }
 
 /// Closed-form mesh Stats for a batch of `bn` same-shaped comparisons.
@@ -87,7 +113,7 @@ pub fn edit_direct(a: &[u8], b: &[u8]) -> EditRun {
     }
     let stats = mesh_stats(a.len(), b.len(), 1);
     EditRun {
-        distance: levenshtein_tiled(a, b),
+        distance: levenshtein_bits(a, b),
         cycles: stats.cycles(),
         stats,
     }
@@ -116,7 +142,7 @@ pub fn edit_direct_batch(pairs: &[(&[u8], &[u8])]) -> Result<BatchEditRun, SdpEr
     }
     let stats = mesh_stats(p, q, bn);
     Ok(BatchEditRun {
-        distances: pairs.iter().map(|(a, b)| levenshtein_tiled(a, b)).collect(),
+        distances: pairs.iter().map(|(a, b)| levenshtein_bits(a, b)).collect(),
         cycles: stats.cycles(),
         stats,
     })
@@ -174,21 +200,17 @@ mod tests {
     }
 
     #[test]
-    fn tiling_is_exact_across_strip_boundaries() {
-        // Lengths straddling the strip width exercise the boundary
-        // columns; the plain rolling-row reference is the oracle.
-        for (la, lb) in [
-            (STRIP - 1, 40),
-            (STRIP, 40),
-            (STRIP + 3, 40),
-            (40, STRIP + 1),
-        ] {
-            let (a, b) = (word(7, la), word(11, lb));
-            assert_eq!(
-                levenshtein_tiled(&a, &b),
-                edit_distance_seq(&a, &b),
-                "{la}x{lb}"
-            );
+    fn bit_parallel_is_exact_across_word_boundaries() {
+        // Pattern lengths at and around the 64-row block width exercise
+        // the inter-block carries and the last block's row mask; the
+        // plain rolling-row DP is the oracle.
+        for m in [1, 2, 63, 64, 65, 127, 128, 129, 200] {
+            for n in [1, m, m + 1, 3 * m + 7] {
+                let (a, b) = (word(m as u64, m), word(1000 + n as u64, n));
+                let want = edit_distance_seq(&a, &b);
+                assert_eq!(levenshtein_bits(&a, &b), want, "{m}x{n}");
+                assert_eq!(levenshtein_bits(&b, &a), want, "{n}x{m}");
+            }
         }
     }
 

@@ -7,26 +7,45 @@
 //! L2.  The direct solvers sweep the same diagonals over flat row-major
 //! tables and keep a *transposed mirror* of the cost table, so both
 //! terms of the split scan (`cost[i][k]` and `costᵀ[j][k+1]`) are
-//! contiguous.  The candidate expression, its saturating-add
-//! association, and the first-strict-minimum split tie-break are
-//! replicated literally, so cost *and* split table are bit-identical
-//! to `matrix_chain_order` / `optimal_bst`.
+//! contiguous.
+//!
+//! The tables hold raw `i64`s, not [`Cost`]s.  Every entry is finite —
+//! a leaf is a checked finite `Cost`, and every other entry is a
+//! clamped finite sum — so `Cost`'s `INF` tests can never fire, and
+//! `add` is `Cost`'s addition with them removed: saturate, then
+//! clamp out of the sentinel.  The split scan is a branch-free
+//! first-strict-minimum fold.  The candidate expression, its
+//! saturating-add association, its clamp and the tie-break are the
+//! reference's, so cost *and* split table are bit-identical to
+//! `matrix_chain_order` / `optimal_bst`.
 
 use sdp_andor::chain::ChainSolution;
 use sdp_fault::SdpError;
 use sdp_semiring::Cost;
 
-/// Saturating `r_{i−1}·r_k·r_j` as a finite [`Cost`] (the reference
-/// solver's overflow clamp, replicated).
-fn triple_product_cost(a: u64, b: u64, c: u64) -> Cost {
-    Cost::saturating_from_u64(a.saturating_mul(b).saturating_mul(c))
+/// `Cost` addition of two finite raw values.
+#[inline(always)]
+fn add(x: i64, y: i64) -> i64 {
+    x.saturating_add(y)
+        .clamp(Cost::MIN_FINITE.raw(), Cost::MAX_FINITE.raw())
+}
+
+/// Folds split candidates `(c, k)` into the first strict minimum —
+/// the reference's `if c < best` scan, evaluated with selects.
+#[inline(always)]
+fn first_min(acc: (i64, usize), (c, k): (i64, usize)) -> (i64, usize) {
+    if c < acc.0 {
+        (c, k)
+    } else {
+        acc
+    }
 }
 
 /// Flat `n × n` cost table plus its transposed mirror and split table.
 struct Tables {
     n: usize,
-    cost: Vec<Cost>,
-    cost_t: Vec<Cost>,
+    cost: Vec<i64>,
+    cost_t: Vec<i64>,
     split: Vec<usize>,
 }
 
@@ -34,13 +53,13 @@ impl Tables {
     fn new(n: usize) -> Tables {
         Tables {
             n,
-            cost: vec![Cost::ZERO; n * n],
-            cost_t: vec![Cost::ZERO; n * n],
+            cost: vec![0; n * n],
+            cost_t: vec![0; n * n],
             split: vec![0usize; n * n],
         }
     }
 
-    fn set(&mut self, i: usize, j: usize, c: Cost, k: usize) {
+    fn set(&mut self, i: usize, j: usize, (c, k): (i64, usize)) {
         self.cost[i * self.n + j] = c;
         self.cost_t[j * self.n + i] = c;
         self.split[i * self.n + j] = k;
@@ -49,7 +68,7 @@ impl Tables {
     fn solution(self) -> ChainSolution {
         let n = self.n;
         ChainSolution {
-            cost: self.cost[n - 1], // (0, n−1)
+            cost: Cost::new(self.cost[n - 1]), // (0, n−1)
             split: (0..n)
                 .map(|i| self.split[i * n..(i + 1) * n].to_vec())
                 .collect(),
@@ -81,20 +100,22 @@ pub fn chain_direct(dims: &[u64]) -> Result<ChainSolution, SdpError> {
     for len in 2..=n {
         for i in 0..=n - len {
             let j = i + len - 1;
-            let mut best = Cost::INF;
-            let mut arg = i;
-            let row_i = &t.cost[i * n..];
-            let row_jt = &t.cost_t[j * n..];
-            for k in i..j {
-                let c = row_i[k]
-                    + row_jt[k + 1]
-                    + triple_product_cost(dims[i], dims[k + 1], dims[j + 1]);
-                if c < best {
-                    best = c;
-                    arg = k;
-                }
-            }
-            t.set(i, j, best, arg);
+            // Every dimension is ≥ 1, so a saturating product saturates
+            // in any association: `r_{i−1}·r_j` is hoisted out of the
+            // scan, and the reference's clamp to the finite range
+            // follows.
+            let outer = dims[i].saturating_mul(dims[j + 1]);
+            let left = &t.cost[i * n + i..i * n + j]; // cost[i][k]
+            let right = &t.cost_t[j * n + i + 1..j * n + j + 1]; // cost[k+1][j]
+            let scan = left.iter().zip(right).zip(&dims[i + 1..=j]);
+            let best = scan
+                .enumerate()
+                .map(|(k, ((&l, &r), &d))| {
+                    let product = outer.saturating_mul(d).min(Cost::MAX_FINITE.raw() as u64);
+                    (add(add(l, r), product as i64), i + k)
+                })
+                .fold((i64::MAX, i), first_min);
+            t.set(i, j, best);
         }
     }
     Ok(t.solution())
@@ -115,29 +136,29 @@ pub fn bst_direct(freq: &[u64]) -> Result<ChainSolution, SdpError> {
     for (i, &f) in freq.iter().enumerate() {
         pre[i + 1] = pre[i] + f;
     }
-    let weight = |i: usize, j: usize| (pre[j + 1] - pre[i]) as i64;
     let mut t = Tables::new(n);
     for (i, &f) in freq.iter().enumerate() {
-        t.set(i, i, Cost::from(f as i64), i);
+        t.set(i, i, (Cost::from(f as i64).raw(), i));
     }
     for len in 2..=n {
         for i in 0..=n - len {
             let j = i + len - 1;
-            let mut best = Cost::INF;
-            let mut arg = i;
-            let w = Cost::from(weight(i, j));
-            let row_i = &t.cost[i * n..];
-            let row_jt = &t.cost_t[j * n..];
-            for r in i..=j {
-                let left = if r > i { row_i[r - 1] } else { Cost::ZERO };
-                let right = if r < j { row_jt[r + 1] } else { Cost::ZERO };
-                let c = left + right + w;
-                if c < best {
-                    best = c;
-                    arg = r;
-                }
-            }
-            t.set(i, j, best, arg);
+            // Checked once per interval, as the reference's `Cost::from`.
+            let w = Cost::from((pre[j + 1] - pre[i]) as i64).raw();
+            // Root i has an empty left subtree, root j an empty right
+            // one (`Cost::ZERO + x = x` on finite x); the roots between
+            // read cost[i][r−1] and costᵀ[j][r+1].
+            let first = (add(t.cost_t[j * n + i + 1], w), i);
+            let last = (add(t.cost[i * n + j - 1], w), j);
+            let left = &t.cost[i * n + i..i * n + j - 1];
+            let right = &t.cost_t[j * n + i + 2..j * n + j + 1];
+            let best = left
+                .iter()
+                .zip(right)
+                .enumerate()
+                .map(|(k, (&l, &r))| (add(add(l, r), w), i + 1 + k))
+                .fold(first, first_min);
+            t.set(i, j, first_min(best, last));
         }
     }
     Ok(t.solution())

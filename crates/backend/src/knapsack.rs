@@ -1,12 +1,12 @@
 //! Direct 0/1 knapsack mirroring the capacity-indexed linear array.
 //!
 //! The array streams items through `C + 1` PEs with value trains
-//! closing the `c − w_i` dependency gap; the direct solver runs the
-//! classic one-row sweep (capacity descending, so each item is used at
-//! most once) with the array's exact decision rule — take iff
-//! `base + value > current` (strictly, ties leave the item) with
-//! saturating adds — so rows *and* recovered item sets are
-//! bit-identical.
+//! closing the `c − w_i` dependency gap; the direct solver runs one
+//! pass per item from the previous row into a second buffer (so each
+//! item is used at most once, and no capacity waits on another) with
+//! the array's exact decision rule — take iff `base + value > current`
+//! (strictly, ties leave the item) with saturating adds — so rows *and*
+//! recovered item sets are bit-identical.
 //!
 //! Stats are the array's closed forms: `n + Σ w_i + 2·(C + 1)` cycles,
 //! every PE busy once per item (one decision each), `n + 1` input
@@ -19,27 +19,37 @@ use sdp_core::knapsack_array::{knapsack_cycle_count, BatchKnapsackRun, KnapsackI
 use sdp_fault::SdpError;
 use sdp_systolic::Stats;
 
-/// One row sweep with the array's decision rule; returns the final row
-/// and (when `decisions` is given) each capacity's take/leave bit per
-/// item, appended in item order.
-fn sweep(
-    items: &[KnapsackItem],
-    capacity: u64,
-    mut decisions: Option<&mut [Vec<bool>]>,
-) -> Vec<u64> {
+/// One row sweep per item with the array's decision rule; returns the
+/// final row and (when `decisions` is given) appends each item's
+/// take/leave bits, one per capacity packed 64 to a word, in item
+/// order.  The row is double-buffered: every capacity of an item's
+/// pass reads only the previous row, so the pass is one independent
+/// `max(old, base + value)` per capacity, with no loop-carried
+/// dependency.  Taking wins only on a strict gain
+/// (`base + value > old`), so a bit is set exactly where the new row
+/// exceeds the old one.
+fn sweep(items: &[KnapsackItem], capacity: u64, mut decisions: Option<&mut Vec<u64>>) -> Vec<u64> {
     let c = capacity as usize;
     let mut row = vec![0u64; c + 1];
+    let mut next = vec![0u64; c + 1];
     for it in items {
-        let w = it.weight as usize;
-        for cap in (0..=c).rev() {
-            let take = cap >= w && row[cap - w].saturating_add(it.value) > row[cap];
-            if let Some(d) = decisions.as_deref_mut() {
-                d[cap].push(take);
-            }
-            if take {
-                row[cap] = row[cap - w].saturating_add(it.value);
-            }
+        // An item heavier than the capacity fits nowhere: the whole
+        // row is the copied prefix.
+        let w = (it.weight as usize).min(c + 1);
+        next[..w].copy_from_slice(&row[..w]);
+        for ((n, &old), &base) in next[w..].iter_mut().zip(&row[w..]).zip(&row) {
+            *n = old.max(base.saturating_add(it.value));
         }
+        if let Some(bits) = decisions.as_deref_mut() {
+            let taken = next.chunks(64).zip(row.chunks(64)).map(|(new, old)| {
+                new.iter()
+                    .zip(old)
+                    .enumerate()
+                    .fold(0u64, |word, (k, (n, o))| word | u64::from(n > o) << k)
+            });
+            bits.extend(taken);
+        }
+        std::mem::swap(&mut row, &mut next);
     }
     row
 }
@@ -139,13 +149,14 @@ pub fn knapsack_direct_recovered(
     if items.is_empty() {
         return (knapsack_direct(items, capacity), Vec::new());
     }
-    let mut decisions = vec![Vec::with_capacity(items.len()); capacity as usize + 1];
+    let words = (capacity as usize + 1).div_ceil(64);
+    let mut decisions = Vec::with_capacity(items.len() * words);
     let per_capacity = sweep(items, capacity, Some(&mut decisions));
     let stats = array_stats(items, capacity);
     let mut c = capacity as usize;
     let mut set = Vec::new();
     for i in (0..items.len()).rev() {
-        if decisions[c][i] {
+        if decisions[i * words + c / 64] >> (c % 64) & 1 == 1 {
             set.push(i);
             c -= items[i].weight as usize;
         }

@@ -28,10 +28,17 @@
 //! |--------|-------|-----------------|
 //! | [`multistage`] | monadic serial | right-to-left row-major min-plus vector folds |
 //! | [`matmul`] | polyadic serial | the blocked `Matrix::mul` kernel |
-//! | [`edit`] | monadic nonserial | column-strip tiled rolling rows, O(min(m,n)) memory |
-//! | [`interval`] | polyadic nonserial | diagonal sweep with a transposed mirror table |
-//! | [`align`] | monadic nonserial | rolling-row SW/Gotoh/banded with in-flight argmax |
-//! | [`knapsack`] | monadic serial | descending one-row sweep with the array's tie-break |
+//! | [`edit`] | monadic nonserial | Myers/Hyyrö bit-parallel columns, 64 rows per `u64`, O(σ·⌈min(m,n)/64⌉) memory |
+//! | [`interval`] | polyadic nonserial | diagonal sweep over raw finite `i64` with a transposed mirror table and a branch-free first-strict-minimum fold |
+//! | [`align`] | monadic nonserial | rolling-row SW/Gotoh/banded, monomorphised per scoring, per-row band ranges, row-level argmax |
+//! | [`knapsack`] | monadic serial | double-buffered row, one independent `max(old, base + v)` pass per item, decision bits packed 64 to a word |
+//!
+//! The kernels use no `unsafe`, no target features and no runtime CPU
+//! dispatch: they are written so the baseline x86-64 build pipelines
+//! them (independent cells per pass, selects instead of branches where
+//! the data decide), and `tests/kernel_edges.rs` holds them to the
+//! `sdp-oracle` reference solvers at every word, band, weight and
+//! saturation boundary.
 
 pub mod align;
 pub mod edit;

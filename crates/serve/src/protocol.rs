@@ -27,6 +27,7 @@ use sdp_andor::graph::AndOrGraph;
 use sdp_core::knapsack_array::KnapsackItem;
 use sdp_fault::SdpError;
 use sdp_semiring::{Cost, Matrix, MinPlus};
+use std::fmt::Write as _;
 
 /// Engine class of a request — the unit of batch coalescing and of the
 /// per-class metrics.
@@ -624,9 +625,22 @@ pub fn decode(doc: &Json) -> Result<Request, SdpError> {
         "chain" => Body::Chain {
             dims: parse_u64_list(doc, "dims", 2)?,
         },
-        "bst" => Body::Bst {
-            freq: parse_u64_list(doc, "freq", 1)?,
-        },
+        "bst" => {
+            let freq = parse_u64_list(doc, "freq", 1)?;
+            // Every solver keeps BST costs in i64 with i64::MAX reserved
+            // for +∞.  A key sits at depth ≤ n, so n·Σfreq bounds every
+            // table entry: within the finite range, no solver can
+            // saturate (or panic) differently from another.
+            let total: u128 = freq.iter().map(|&f| u128::from(f)).sum();
+            if total * freq.len() as u128 > Cost::MAX_FINITE.raw() as u128 {
+                return Err(bad(format!(
+                    "'freq' too large: {} keys times a total of {total} exceeds {}",
+                    freq.len(),
+                    Cost::MAX_FINITE.raw()
+                )));
+            }
+            Body::Bst { freq }
+        }
         "andor" => parse_andor(doc)?,
         other => return Err(bad(format!("unknown kind '{other}'"))),
     };
@@ -692,14 +706,28 @@ pub fn ok_cached_response(id: i64, payload: &str) -> String {
 /// and control replies stay untagged — the cache stores payloads, not
 /// provenance, and the payload is bit-identical either way.
 pub fn ok_engine_response(id: i64, result: Json, batch: usize, engine: &str) -> String {
-    Json::object()
-        .with("id", Json::Int(id))
-        .with("ok", true)
-        .with("result", result)
-        .with("cached", false)
-        .with("batch", batch)
-        .with("engine", engine)
-        .render()
+    ok_rendered_engine_response(id, &result.render(), batch, engine)
+}
+
+/// [`ok_engine_response`] around a payload already rendered by
+/// [`Json::render`] — the same string the cache stores — spliced into
+/// the envelope as [`ok_cached_response`] does, so a fresh reply
+/// renders its payload once.
+pub(crate) fn ok_rendered_engine_response(
+    id: i64,
+    payload: &str,
+    batch: usize,
+    engine: &str,
+) -> String {
+    let engine = Json::from(engine).render();
+    // Sized up front: a payload can be ~100 KB, and growing past it
+    // would copy it again.
+    let mut line = String::with_capacity(payload.len() + engine.len() + 80);
+    let _ = write!(
+        line,
+        "{{\"id\":{id},\"ok\":true,\"result\":{payload},\"cached\":false,\"batch\":{batch},\"engine\":{engine}}}"
+    );
+    line
 }
 
 /// Stable wire name for an error variant.
@@ -909,6 +937,28 @@ mod tests {
     }
 
     #[test]
+    fn bst_frequencies_that_could_reach_the_infinity_sentinel_are_rejected() {
+        let max = Cost::MAX_FINITE.raw();
+        for freq in [
+            format!("[{}]", i64::MAX),
+            format!("[{},1]", max / 2),
+            format!("[{},{},1]", max / 3, max / 3),
+        ] {
+            let line = format!(r#"{{"id":1,"kind":"bst","freq":{freq}}}"#);
+            let err = decode(&parse(&line).unwrap()).expect_err(&line);
+            assert!(
+                matches!(err, SdpError::MalformedRequest { .. }),
+                "{line}: {err:?}"
+            );
+        }
+        // n·Σfreq = MAX_FINITE exactly is still finite everywhere.
+        for freq in [format!("[{max}]"), format!("[{},{}]", max / 4, max / 4)] {
+            let line = format!(r#"{{"id":1,"kind":"bst","freq":{freq}}}"#);
+            assert!(decode(&parse(&line).unwrap()).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
     fn error_responses_are_typed() {
         let r = error_response(7, &SdpError::QueueFull { depth: 64 });
         assert!(r.contains("\"ok\":false"));
@@ -970,6 +1020,45 @@ mod tests {
                 ok_cached_response(42, &rendered),
                 ok_response(42, payload, true, 0),
             );
+        }
+    }
+
+    #[test]
+    fn engine_response_splice_matches_the_rendered_envelope() {
+        // A fresh reply splices the payload string the cache stores;
+        // it must stay byte-identical to building the whole envelope
+        // through Json, for every payload shape and engine tag.
+        let payloads = [
+            Json::object().with("distance", 3u64),
+            Json::object()
+                .with("best", 9u64)
+                .with("row", Json::from(vec![0i64, 1, -1, i64::MAX, i64::MIN])),
+            Json::object()
+                .with("score", 12i64)
+                .with("end", Json::Null)
+                .with("ratio", 0.5f64)
+                .with("note", "a\"b\\c\n"),
+        ];
+        for payload in payloads {
+            for (batch, engine) in [(1usize, "direct"), (16, "sim"), (3, "odd\"tag")] {
+                let whole = Json::object()
+                    .with("id", Json::Int(-42))
+                    .with("ok", true)
+                    .with("result", payload.clone())
+                    .with("cached", false)
+                    .with("batch", batch)
+                    .with("engine", engine)
+                    .render();
+                let rendered = payload.render();
+                assert_eq!(
+                    ok_rendered_engine_response(-42, &rendered, batch, engine),
+                    whole
+                );
+                assert_eq!(
+                    ok_engine_response(-42, payload.clone(), batch, engine),
+                    whole
+                );
+            }
         }
     }
 

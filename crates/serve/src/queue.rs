@@ -42,7 +42,6 @@ use crate::protocol::CLASSES;
 use sdp_fault::SdpError;
 use sdp_metrics::Gauge;
 use sdp_par::lock_recover;
-use sdp_trace::json::Json;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -98,8 +97,9 @@ pub struct SpanTimes {
 /// What the dispatcher sends back to the submitting connection.
 #[derive(Debug)]
 pub struct JobResponse {
-    /// Engine result or typed failure.
-    pub result: Result<Json, SdpError>,
+    /// The engine's payload, rendered once and shared with the cache,
+    /// or a typed failure.
+    pub result: Result<Arc<str>, SdpError>,
     /// Size of the coalesced batch this job rode in.
     pub batch: usize,
     /// Which backend ran the bucket — `None` when no engine ran (the

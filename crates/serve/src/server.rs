@@ -451,9 +451,11 @@ fn dispatch_bucket(class: Class, jobs: Vec<Job>, flushed: Instant, shared: &Shar
     let engine_us = engine_done.saturating_duration_since(started).as_micros() as u64;
     for (job, result) in jobs.into_iter().zip(results) {
         let ok = result.is_ok();
-        if let Ok(payload) = &result {
-            let rendered: Arc<str> = Arc::from(payload.render());
-            if lock_recover(&shared.caches[class.index()]).insert(job.cache_key, rendered) {
+        // One render per payload: the cache and the reply share it.
+        let result = result.map(|payload| Arc::<str>::from(payload.render()));
+        if let Ok(rendered) = &result {
+            let cache = &shared.caches[class.index()];
+            if lock_recover(cache).insert(job.cache_key, Arc::clone(rendered)) {
                 shared.metrics.cache_evicted();
             }
         }
@@ -977,9 +979,9 @@ fn deliver_completion(conn: &mut Conn, resp: JobResponse, shared: &Shared) {
     };
     finish_span(inflight.id, inflight.class, resp.batch, &resp.span, shared);
     let text = match resp.result {
-        Ok(payload) => protocol::ok_engine_response(
+        Ok(payload) => protocol::ok_rendered_engine_response(
             inflight.id,
-            payload,
+            &payload,
             resp.batch,
             resp.engine.map_or("sim", |k| k.name()),
         ),

@@ -4,7 +4,8 @@
 //! overload, shutdown, and mid-request disconnects.
 
 use sdp_serve::client::{self, Client};
-use sdp_serve::Config;
+use sdp_serve::protocol::Class;
+use sdp_serve::{breaker, Config};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -86,6 +87,29 @@ fn engine_rejections_are_typed_not_fatal() {
     assert!(!resp.ok);
     let resp = c.call_raw(&client::bst_request(4, &[1, 2])).expect("call");
     assert!(resp.ok, "server still healthy after rejections");
+    handle.shutdown();
+}
+
+#[test]
+fn extreme_bst_frequencies_are_rejected_and_leave_the_breaker_closed() {
+    // One past the breaker's default trip count: had any of these
+    // reached an engine (which keeps i64::MAX for +∞), the BST breaker
+    // would open for every client.
+    let handle = small_server();
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    let trips = Config::default().breaker_trip_after as u64;
+    for id in 0..=trips {
+        let resp = c
+            .call_raw(&client::bst_request(id as i64, &[i64::MAX as u64]))
+            .expect("call");
+        assert!(!resp.ok, "request {id} must be rejected");
+        assert_eq!(resp.error_kind.as_deref(), Some("malformed_request"));
+    }
+    assert_eq!(handle.breaker_code(Class::Bst), breaker::STATE_CLOSED);
+    let resp = c
+        .call_raw(&client::bst_request(99, &[3, 1, 4]))
+        .expect("call");
+    assert!(resp.ok, "BST still served");
     handle.shutdown();
 }
 

@@ -55,9 +55,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Json::Int(i) => write_int(*i, out),
             Json::Float(f) => {
                 if f.is_finite() {
                     // `{}` omits ".0" for integral floats; keep the type
@@ -96,6 +94,27 @@ impl Json {
             }
         }
     }
+}
+
+/// Appends `i` in decimal, byte-identical to its `Display` output.
+/// Integer arrays dominate large payloads, and formatting digits into a
+/// stack buffer costs a fraction of a pass through `fmt::Write`.
+fn write_int(i: i64, out: &mut String) {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = buf.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.extend(buf[at..].iter().map(|&d| char::from(d)));
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -173,6 +192,32 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integers_render_as_display() {
+        for i in [
+            0,
+            1,
+            -1,
+            9,
+            10,
+            -10,
+            99,
+            100,
+            12_345,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ] {
+            assert_eq!(Json::Int(i).render(), i.to_string());
+        }
+        for k in 0..19 {
+            let p = 10i64.pow(k);
+            for i in [p - 1, p, p + 1, -p + 1, -p, -p - 1] {
+                assert_eq!(Json::Int(i).render(), i.to_string());
+            }
+        }
+    }
 
     #[test]
     fn renders_scalars() {
