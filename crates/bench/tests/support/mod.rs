@@ -52,7 +52,7 @@ pub fn redact(json: &mut Json) {
 /// their keys with nulled leaves, so the schema itself is still pinned.
 pub fn redact_load_dependent(json: &mut Json) {
     redact(json);
-    const LOAD_DEPENDENT: [&str; 19] = [
+    const LOAD_DEPENDENT: [&str; 20] = [
         "req_per_s",
         "coalesced",
         "cache_hits_seen",
@@ -83,6 +83,10 @@ pub fn redact_load_dependent(json: &mut Json) {
         "connections",
         "mean_cold_batch",
         "evictions",
+        // Flush reasons split the same dispatch events by what released
+        // each bucket (a full bucket vs. a closed read round), so they
+        // vary with interleaving like `dispatches`.
+        "flushes",
     ];
     fn walk(json: &mut Json, names: &[&str]) {
         match json {

@@ -65,15 +65,11 @@ pub struct Config {
     pub shed_queue: usize,
     /// Coalesced-batch size cap.
     pub max_batch: usize,
-    /// Coalescing delay window (upper bound — the adaptive flush
-    /// releases buckets early whenever the arrival stream pauses).
+    /// Longest a partial bucket may coalesce.  Buckets normally flush
+    /// well before it: as soon as the event-loop pass that read their
+    /// requests ends (see [`queue`]).  The window only bounds a round
+    /// that stays open, and sizes the shed hint of a fresh server.
     pub max_delay: Duration,
-    /// How long a shard's dispatcher waits for a further admission
-    /// before treating the arrival stream as paused and flushing
-    /// partial buckets early.  Raising it toward `max_delay` restores
-    /// the fixed-window coalescing behaviour (useful to manufacture
-    /// queue pressure in tests).
-    pub drain_tick: Duration,
     /// Event-loop connection workers (each owns a slab of nonblocking
     /// sockets multiplexed with `poll(2)`).
     pub event_workers: usize,
@@ -128,7 +124,6 @@ impl Default for Config {
             shed_queue: 768,
             max_batch: 16,
             max_delay: Duration::from_millis(5),
-            drain_tick: Duration::from_micros(500),
             event_workers: 2,
             cache_capacity: 256,
             workers: 4,

@@ -28,6 +28,7 @@
 
 use crate::engine::EngineKind;
 use crate::protocol::{Class, CLASSES};
+use crate::queue::FLUSH_REASONS;
 use sdp_metrics::{
     us_to_ms, Counter, Gauge, Histogram, HistogramSnapshot, Registry, SlowRing, SpanSample,
 };
@@ -100,6 +101,10 @@ pub struct Metrics {
     accept_failures: Arc<Counter>,
     chaos: Vec<Arc<Counter>>,
     dispatches: Arc<Counter>,
+    /// Buckets flushed by the admission queue, indexed by
+    /// [`FlushReason`](crate::queue::FlushReason); the queue counts
+    /// into these handles.
+    queue_flushes: [Arc<Counter>; FLUSH_REASONS.len()],
     max_coalesced: Arc<Gauge>,
     /// Class-agnostic admission-queue wait (the coalesce phase), µs.
     queue_wait: Arc<Histogram>,
@@ -188,6 +193,9 @@ impl Metrics {
                 .map(|kind| registry.counter("sdp_chaos_injected_total", &[("kind", kind)]))
                 .collect(),
             dispatches: registry.counter("sdp_dispatches_total", &[]),
+            queue_flushes: FLUSH_REASONS.map(|reason| {
+                registry.counter("sdp_queue_flushes_total", &[("reason", reason.name())])
+            }),
             max_coalesced: registry.gauge("sdp_max_coalesced", &[]),
             queue_wait: registry.histogram(
                 "sdp_queue_wait_us",
@@ -206,6 +214,12 @@ impl Metrics {
     /// queue, exported here) under `sdp_queue_depth`.
     pub fn register_queue_gauge(&self, gauge: Arc<Gauge>) {
         self.registry.register_gauge("sdp_queue_depth", &[], gauge);
+    }
+
+    /// The `sdp_queue_flushes_total` series, for the admission queue
+    /// to count into.
+    pub fn queue_flush_counters(&self) -> [Arc<Counter>; FLUSH_REASONS.len()] {
+        self.queue_flushes.clone()
     }
 
     /// The dispatcher's per-worker pool telemetry lanes.
@@ -525,6 +539,13 @@ impl Metrics {
             .with("errors", self.errors.get())
             .with("queue_depth", queue_depth)
             .with("dispatches", self.dispatches.get())
+            .with("flushes", {
+                let mut flushes = Json::object();
+                for (reason, counter) in FLUSH_REASONS.iter().zip(&self.queue_flushes) {
+                    flushes = flushes.with(reason.name(), counter.get());
+                }
+                flushes
+            })
             .with("max_coalesced", self.max_coalesced())
             .with("batch_size_histogram", hist)
             .with(
@@ -651,6 +672,29 @@ mod tests {
         assert!(prom.contains("sdp_engine_batches_total{class=\"edit\",engine=\"sim\"} 0"));
         assert!(json::get(&doc, "pool").is_some());
         assert!(json::get(&doc, "slowest").is_some());
+    }
+
+    #[test]
+    fn queue_flush_reasons_land_in_both_exporters() {
+        let m = Metrics::new(1);
+        let flushes = m.queue_flush_counters();
+        for (i, counter) in flushes.iter().enumerate() {
+            for _ in 0..=i {
+                counter.inc();
+            }
+        }
+        let doc = m.to_json(0);
+        let json_flushes = json::get(&doc, "flushes").unwrap();
+        let prom = m.render_prometheus();
+        for (i, reason) in ["full", "aged", "round", "drain"].iter().enumerate() {
+            let want = i as i64 + 1;
+            assert_eq!(
+                json::as_i64(json::get(json_flushes, reason).unwrap()),
+                Some(want)
+            );
+            let series = format!("sdp_queue_flushes_total{{reason=\"{reason}\"}} {want}");
+            assert!(prom.contains(&series), "missing prometheus series {series}");
+        }
     }
 
     #[test]

@@ -2,28 +2,29 @@
 //!
 //! Requests are grouped into buckets keyed by `(class, shape_key)` —
 //! only uniform-shape instances can ride one pipelined array pass (the
-//! PR 3 batch entry points reject mixed shapes).  Each engine class
-//! owns a **shard**: its own bucket map, `Mutex`, and `Condvar`, with
-//! one dispatcher thread parked per shard, so hot classes stop
-//! serializing on one global lock and an admission for `edit` never
-//! wakes the `matmul` dispatcher.  Depth accounting and the drain flag
-//! are shard-agnostic atomics so the admission fast path touches only
-//! its own shard's lock.
+//! batch entry points reject mixed shapes).  Each engine class owns a
+//! **shard**: its own bucket map, `Mutex`, and `Condvar`, with one
+//! dispatcher thread parked per shard, so hot classes stop serializing
+//! on one global lock and an admission for `edit` never wakes the
+//! `matmul` dispatcher.  Depth accounting and the drain flag are
+//! shard-agnostic atomics so the admission fast path touches only its
+//! own shard's lock.
 //!
-//! A bucket flushes when it reaches `max_batch` riders, when its
-//! oldest rider has waited `max_delay`, when the server starts
-//! draining — or, adaptively, as soon as the arrival stream pauses: if
-//! a wait of one `drain_tick` **times out** with no new admission on
-//! the shard, waiting out the rest of the window cannot grow any
-//! bucket, so every pending bucket flushes immediately.  The timed-out
-//! gate matters: a spurious condvar wakeup (or a wake for an admission
-//! into a *different* bucket of the shard) returns early from the wait
-//! and must not masquerade as a quiet arrival stream, or every young
-//! bucket would flush at size 1 and coalescing would silently die.
-//! The delay window is the throughput/latency knob: paper Eq. 9 says
-//! array utilisation under pipelining is B/(B + fill/drain), so
-//! holding the window open buys a larger B at a bounded latency cost —
-//! but only while requests are still arriving to coalesce.
+//! Coalescing is **work-conserving**: the array never idles waiting
+//! for work that has not arrived yet.  Admissions happen in
+//! [`Round`]s — one event-loop worker's service pass over its parsed
+//! request lines — and each shard counts the rounds currently holding
+//! admissions into it.  A bucket is ready when it holds `max_batch`
+//! riders, when its oldest rider has waited `max_delay`, when the queue
+//! is draining, or when no round holding its shard is open.  So
+//! requests read in one pass still ride one batch, as do requests that
+//! pile up while the class dispatcher is busy running its engine, but
+//! a lone request is dispatched as soon as the pass that read it ends.
+//! The rule reads shard state, not a timer: a stray condvar wakeup
+//! re-evaluates the same state and cannot flush a bucket early.
+//! `max_delay` only bounds a round that is held open; paper Eq. 9's
+//! B/(B + fill/drain) utilisation is bought with riders that are
+//! already waiting, never with idle array time.
 //!
 //! Backpressure is enforced at admission in two tiers: at or beyond
 //! `shed_queue` queued requests `submit` sheds with
@@ -40,7 +41,7 @@ use crate::protocol::Body;
 use crate::protocol::Class;
 use crate::protocol::CLASSES;
 use sdp_fault::SdpError;
-use sdp_metrics::Gauge;
+use sdp_metrics::{Counter, Gauge};
 use sdp_par::lock_recover;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -57,14 +58,9 @@ pub struct QueueConfig {
     pub shed_queue: usize,
     /// Flush a bucket as soon as it holds this many requests.
     pub max_batch: usize,
-    /// Flush a bucket when its oldest rider has waited this long.
+    /// Flush a bucket when its oldest rider has waited this long, even
+    /// if a round holding its shard is still open.
     pub max_delay: Duration,
-    /// How long a shard's dispatcher waits for a further admission
-    /// before concluding the arrival stream has paused and flushing
-    /// partial buckets early.  Small against any useful `max_delay`,
-    /// large against the admission path itself, so bursts still
-    /// coalesce.
-    pub drain_tick: Duration,
 }
 
 impl Default for QueueConfig {
@@ -74,7 +70,6 @@ impl Default for QueueConfig {
             shed_queue: 768,
             max_batch: 16,
             max_delay: Duration::from_millis(5),
-            drain_tick: Duration::from_micros(500),
         }
     }
 }
@@ -215,6 +210,40 @@ pub fn drain_hint_ms(
     window_ms * excess_batches as u64
 }
 
+/// Why a bucket left the queue.  When several apply, the first in
+/// this order is counted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FlushReason {
+    /// It held `max_batch` riders.
+    Full,
+    /// Its oldest rider waited `max_delay` (a round held open that long).
+    Aged,
+    /// No round holding admissions into its shard was open.
+    Round,
+    /// The queue is draining.
+    Drain,
+}
+
+/// Every [`FlushReason`], indexed by its discriminant.
+pub const FLUSH_REASONS: [FlushReason; 4] = [
+    FlushReason::Full,
+    FlushReason::Aged,
+    FlushReason::Round,
+    FlushReason::Drain,
+];
+
+impl FlushReason {
+    /// The metrics label (`sdp_queue_flushes_total{reason=…}`).
+    pub fn name(self) -> &'static str {
+        match self {
+            FlushReason::Full => "full",
+            FlushReason::Aged => "aged",
+            FlushReason::Round => "round",
+            FlushReason::Drain => "drain",
+        }
+    }
+}
+
 struct Bucket {
     jobs: Vec<Job>,
     opened: Instant,
@@ -223,10 +252,13 @@ struct Bucket {
 struct ShardInner {
     /// Open buckets of this class, keyed by shape.
     buckets: HashMap<u64, Bucket>,
-    /// Admission counter; the dispatcher compares it across a timed
-    /// wait to detect a paused arrival stream.
-    seq: u64,
+    /// Open rounds holding admissions into this shard; while nonzero,
+    /// partial young buckets keep coalescing.
+    open_rounds: usize,
 }
+
+/// [`Round`] tracks the shards it holds in a `u32` bitmask.
+const _: () = assert!(CLASSES.len() <= 32);
 
 struct Shard {
     inner: Mutex<ShardInner>,
@@ -249,11 +281,109 @@ pub struct Queue {
     depth_gauge: Arc<Gauge>,
     /// Recent `(flush time, jobs flushed)` samples for the shed hint.
     flushes: Mutex<VecDeque<(Instant, usize)>>,
+    /// Buckets flushed, indexed by [`FlushReason`].
+    flush_counts: [Arc<Counter>; FLUSH_REASONS.len()],
+}
+
+/// One admission round: the jobs an event-loop worker admits in one
+/// service pass.  While a round that admitted into a shard is open,
+/// that shard's partial buckets keep coalescing; dropping the guard
+/// closes the round and wakes the shards it held.
+pub struct Round<'q> {
+    queue: &'q Queue,
+    /// Bit `i` set: this round holds admissions into shard `i`.
+    held: u32,
+}
+
+impl Round<'_> {
+    /// Admits a job, or rejects it with a typed backpressure error.
+    pub fn submit(&mut self, job: Job) -> Result<(), SdpError> {
+        let q = self.queue;
+        if q.draining.load(Ordering::Acquire) {
+            return Err(SdpError::ShuttingDown);
+        }
+        let depth = q.depth.load(Ordering::Relaxed);
+        if depth >= q.cfg.max_queue {
+            return Err(SdpError::QueueFull { depth });
+        }
+        if depth >= q.cfg.shed_queue {
+            let hint = drain_hint_ms(
+                depth - q.cfg.shed_queue,
+                &lock_recover(&q.flushes),
+                Instant::now(),
+                q.cfg.max_delay,
+                q.cfg.max_batch,
+            );
+            return Err(SdpError::Overloaded {
+                retry_after_ms: hint,
+            });
+        }
+        let index = job.body.class().index();
+        let shape = job.body.shape_key();
+        let shard = &q.shards[index];
+        let mut s = lock_recover(&shard.inner);
+        // Re-check under the shard lock: `start_drain` takes every
+        // shard lock after setting the flag, so a submit that passes
+        // here is guaranteed to be seen by the final drain flush.
+        if q.draining.load(Ordering::Acquire) {
+            return Err(SdpError::ShuttingDown);
+        }
+        if self.held & (1 << index) == 0 {
+            self.held |= 1 << index;
+            s.open_rounds += 1;
+        }
+        // The dispatcher needs a wake only when this admission changes
+        // what it waits for: the first bucket of an empty shard brings
+        // the first age deadline (it may be parked without a timeout),
+        // and a bucket reaching `max_batch` is ready at once.  Anything
+        // else waits for the round to close.
+        let first = s.buckets.is_empty();
+        let bucket = s.buckets.entry(shape).or_insert_with(|| Bucket {
+            jobs: Vec::new(),
+            opened: Instant::now(),
+        });
+        bucket.jobs.push(job);
+        let filled = bucket.jobs.len() == q.cfg.max_batch;
+        let depth = q.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        q.depth_gauge.set(depth as i64);
+        drop(s);
+        if first || filled {
+            shard.cv.notify_one();
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Round<'_> {
+    fn drop(&mut self) {
+        let mut held = self.held;
+        while held != 0 {
+            let shard = &self.queue.shards[held.trailing_zeros() as usize];
+            held &= held - 1;
+            let mut s = lock_recover(&shard.inner);
+            s.open_rounds -= 1;
+            let ready = s.open_rounds == 0 && !s.buckets.is_empty();
+            drop(s);
+            if ready {
+                shard.cv.notify_one();
+            }
+        }
+    }
 }
 
 impl Queue {
     /// An empty queue with the given knobs.
     pub fn new(cfg: QueueConfig) -> Queue {
+        Queue::with_flush_counters(cfg, FLUSH_REASONS.map(|_| Arc::new(Counter::new())))
+    }
+
+    /// An empty queue that counts flushed buckets into `flush_counts`,
+    /// indexed by [`FlushReason`] (the server passes its registered
+    /// `sdp_queue_flushes_total` series).
+    pub fn with_flush_counters(
+        cfg: QueueConfig,
+        flush_counts: [Arc<Counter>; FLUSH_REASONS.len()],
+    ) -> Queue {
         Queue {
             cfg,
             shards: CLASSES
@@ -261,7 +391,7 @@ impl Queue {
                 .map(|_| Shard {
                     inner: Mutex::new(ShardInner {
                         buckets: HashMap::new(),
-                        seq: 0,
+                        open_rounds: 0,
                     }),
                     cv: Condvar::new(),
                 })
@@ -270,6 +400,7 @@ impl Queue {
             draining: AtomicBool::new(false),
             depth_gauge: Arc::new(Gauge::new()),
             flushes: Mutex::new(VecDeque::with_capacity(FLUSH_LOG)),
+            flush_counts,
         }
     }
 
@@ -284,51 +415,17 @@ impl Queue {
         Arc::clone(&self.depth_gauge)
     }
 
-    /// Admits a job, or rejects it with a typed backpressure error.
+    /// Opens an admission round; see [`Round`].
+    pub fn round(&self) -> Round<'_> {
+        Round {
+            queue: self,
+            held: 0,
+        }
+    }
+
+    /// Admits one job as a round of its own.
     pub fn submit(&self, job: Job) -> Result<(), SdpError> {
-        if self.draining.load(Ordering::Acquire) {
-            return Err(SdpError::ShuttingDown);
-        }
-        let depth = self.depth.load(Ordering::Relaxed);
-        if depth >= self.cfg.max_queue {
-            return Err(SdpError::QueueFull { depth });
-        }
-        if depth >= self.cfg.shed_queue {
-            let hint = drain_hint_ms(
-                depth - self.cfg.shed_queue,
-                &lock_recover(&self.flushes),
-                Instant::now(),
-                self.cfg.max_delay,
-                self.cfg.max_batch,
-            );
-            return Err(SdpError::Overloaded {
-                retry_after_ms: hint,
-            });
-        }
-        let class = job.body.class();
-        let shape = job.body.shape_key();
-        let shard = &self.shards[class.index()];
-        let mut s = lock_recover(&shard.inner);
-        // Re-check under the shard lock: `start_drain` takes every
-        // shard lock after setting the flag, so a submit that passes
-        // here is guaranteed to be seen by the final drain flush.
-        if self.draining.load(Ordering::Acquire) {
-            return Err(SdpError::ShuttingDown);
-        }
-        s.seq += 1;
-        s.buckets
-            .entry(shape)
-            .or_insert_with(|| Bucket {
-                jobs: Vec::new(),
-                opened: Instant::now(),
-            })
-            .jobs
-            .push(job);
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.depth_gauge.set(depth as i64);
-        drop(s);
-        shard.cv.notify_one();
-        Ok(())
+        self.round().submit(job)
     }
 
     /// Stops admitting work and wakes every shard dispatcher so
@@ -350,32 +447,37 @@ impl Queue {
     pub fn next_batches_for(&self, class: Class) -> Option<Vec<Vec<Job>>> {
         let shard = &self.shards[class.index()];
         let mut s = lock_recover(&shard.inner);
-        // True only after a full drain_tick wait genuinely timed out
-        // with the shard's admission counter unchanged.
-        let mut paused = false;
         loop {
             let now = Instant::now();
             let draining = self.draining.load(Ordering::Acquire);
+            let round_open = s.open_rounds > 0;
             let mut next_deadline: Option<Instant> = None;
-            let mut ready_keys = Vec::new();
+            let mut ready = Vec::new();
             for (&shape, bucket) in &s.buckets {
                 let deadline = bucket.opened + self.cfg.max_delay;
-                if draining || paused || bucket.jobs.len() >= self.cfg.max_batch || deadline <= now
-                {
-                    ready_keys.push(shape);
+                let reason = if bucket.jobs.len() >= self.cfg.max_batch {
+                    FlushReason::Full
+                } else if deadline <= now {
+                    FlushReason::Aged
+                } else if draining {
+                    FlushReason::Drain
+                } else if !round_open {
+                    FlushReason::Round
                 } else {
-                    next_deadline =
-                        Some(next_deadline.map_or(deadline, |d: Instant| d.min(deadline)));
-                }
+                    next_deadline = Some(next_deadline.map_or(deadline, |d| d.min(deadline)));
+                    continue;
+                };
+                ready.push((shape, reason));
             }
-            if !ready_keys.is_empty() {
+            if !ready.is_empty() {
                 // Deterministic flush order regardless of map iteration.
-                ready_keys.sort_unstable();
+                ready.sort_unstable_by_key(|&(shape, _)| shape);
                 let cap = self.cfg.max_batch.max(1);
-                let mut out = Vec::with_capacity(ready_keys.len());
+                let mut out = Vec::with_capacity(ready.len());
                 let mut flushed = 0usize;
-                for key in ready_keys {
+                for (key, reason) in ready {
                     let bucket = s.buckets.remove(&key).expect("key just seen");
+                    self.flush_counts[reason as usize].inc();
                     flushed += bucket.jobs.len();
                     // A bucket that outgrew the cap while the dispatcher
                     // was busy still dispatches in `max_batch`-sized
@@ -402,30 +504,19 @@ impl Queue {
             if draining {
                 return None;
             }
-            if next_deadline.is_none() {
-                // Empty shard: park until an admission or drain wakes
-                // us; nothing is aging, so no tick is needed.
-                s = shard.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-                paused = false;
-                continue;
-            }
-            // With buckets pending, wait at most one drain_tick so the
-            // arrival-pause check below runs even when every deadline
-            // is far out.
-            let timeout = next_deadline
-                .map(|d| d.saturating_duration_since(now).min(self.cfg.drain_tick))
-                .unwrap_or(self.cfg.max_delay);
-            let seen_seq = s.seq;
-            let (guard, res) = shard
-                .cv
-                .wait_timeout(s, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            s = guard;
-            // The arrival stream counts as paused only when the wait
-            // ran its full course *and* nothing was admitted to this
-            // shard meanwhile.  A notify (real or spurious) that beats
-            // the tick re-evaluates without flushing young buckets.
-            paused = res.timed_out() && s.seq == seen_seq && !s.buckets.is_empty();
+            // Pending buckets wait for a round to close (its drop
+            // notifies), a bucket to fill, or the oldest one to age; an
+            // empty shard waits for the first admission or the drain.
+            s = match next_deadline {
+                None => shard.cv.wait(s).unwrap_or_else(|e| e.into_inner()),
+                Some(d) => {
+                    shard
+                        .cv
+                        .wait_timeout(s, d.saturating_duration_since(now))
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
         }
     }
 
@@ -468,21 +559,29 @@ mod tests {
             shed_queue: shed,
             max_batch,
             max_delay: delay,
-            ..QueueConfig::default()
         }
+    }
+
+    /// Buckets flushed so far, as `[full, aged, round, drain]`.
+    fn flushed(q: &Queue) -> [u64; 4] {
+        q.flush_counts.each_ref().map(|c| c.get())
     }
 
     #[test]
     fn full_bucket_flushes_without_waiting_for_the_delay_window() {
+        // ...or for its still-open round to close.
         let q = Queue::new(cfg(64, 64, 2, Duration::from_secs(3600)));
+        let mut round = q.round();
         let (j1, _r1) = job("ab", "cd");
         let (j2, _r2) = job("xy", "zw");
-        q.submit(j1).unwrap();
-        q.submit(j2).unwrap();
+        round.submit(j1).unwrap();
+        round.submit(j2).unwrap();
         let batches = q.next_batches_for(Class::Edit).expect("not draining");
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].len(), 2, "same shape coalesced");
         assert_eq!(q.depth(), 0);
+        assert_eq!(flushed(&q), [1, 0, 0, 0], "counted as full");
+        drop(round);
     }
 
     #[test]
@@ -504,12 +603,34 @@ mod tests {
     }
 
     #[test]
-    fn expired_bucket_flushes_even_when_not_full() {
-        let q = Queue::new(cfg(64, 64, 100, Duration::from_millis(1)));
+    fn max_delay_still_flushes_a_bucket_whose_round_is_held_open() {
+        // An expired bucket flushes even when not full.  The dispatcher
+        // parks on the empty shard first, so the admission itself must
+        // hand it the age deadline: a round that never closes is
+        // bounded by max_delay, not by the next wake.
+        let delay = Duration::from_millis(50);
+        let q = Arc::new(Queue::new(cfg(64, 64, 100, delay)));
+        let (tx, rx) = mpsc::channel();
+        let dispatcher = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let batches = q.next_batches_for(Class::Edit).expect("not draining");
+                tx.send(batches).unwrap();
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        let mut round = q.round();
         let (j, _r) = job("ab", "cd");
-        q.submit(j).unwrap();
-        let batches = q.next_batches_for(Class::Edit).expect("not draining");
+        let t0 = Instant::now();
+        round.submit(j).unwrap();
+        let batches = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("an aged bucket flushes under an open round");
+        assert!(t0.elapsed() >= delay, "flushed before max_delay");
         assert_eq!(batches[0].len(), 1);
+        assert_eq!(flushed(&q), [0, 1, 0, 0], "counted as aged");
+        drop(round);
+        dispatcher.join().unwrap();
     }
 
     #[test]
@@ -524,41 +645,58 @@ mod tests {
             t0.elapsed() < Duration::from_secs(60),
             "adaptive flush must not wait out the hour-long window"
         );
+        assert_eq!(flushed(&q), [0, 0, 1, 0], "counted as round");
     }
 
     #[test]
     fn adaptive_flush_still_coalesces_a_burst() {
-        // Three same-shape jobs admitted back-to-back must ride one
-        // batch: the pause check fires only after a tick with no new
-        // admissions, and all three are already queued by then.
-        let q = Queue::new(cfg(64, 64, 100, Duration::from_secs(3600)));
+        // Three same-shape jobs admitted in one round must ride one
+        // batch, even with the dispatcher already waiting when the
+        // first one lands: the bucket flushes when the round closes.
+        let q = Arc::new(Queue::new(cfg(64, 64, 100, Duration::from_secs(3600))));
+        let (tx, rx) = mpsc::channel();
+        let dispatcher = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let batches = q.next_batches_for(Class::Edit).expect("not draining");
+                tx.send(batches).unwrap();
+            })
+        };
         let mut rxs = Vec::new();
-        for (a, b) in [("ab", "cd"), ("ef", "gh"), ("ij", "kl")] {
+        let mut round = q.round();
+        for (i, (a, b)) in [("ab", "cd"), ("ef", "gh"), ("ij", "kl")]
+            .into_iter()
+            .enumerate()
+        {
             let (j, r) = job(a, b);
-            q.submit(j).unwrap();
+            round.submit(j).unwrap();
             rxs.push(r);
+            if i == 0 {
+                // Give the dispatcher every chance to see the lone
+                // first rider before the rest of the round arrives.
+                std::thread::sleep(Duration::from_millis(30));
+            }
         }
-        let batches = q.next_batches_for(Class::Edit).expect("not draining");
+        assert!(rx.try_recv().is_err(), "flushed while the round was open");
+        drop(round);
+        let batches = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("closing the round flushes");
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].len(), 3, "burst coalesced into one batch");
+        assert_eq!(flushed(&q), [0, 0, 1, 0]);
+        dispatcher.join().unwrap();
     }
 
     #[test]
     fn a_young_bucket_survives_a_stray_notify_all() {
-        // Regression for the spurious-wakeup bug: any condvar wakeup
-        // with an unchanged seq used to count as "stream drained" and
-        // flush every open bucket at size 1.  With the pause signal
-        // gated on a genuinely timed-out wait, a stray notify_all must
-        // leave a young bucket coalescing.
-        let q = Arc::new(Queue::new(QueueConfig {
-            max_queue: 64,
-            shed_queue: 64,
-            max_batch: 2,
-            max_delay: Duration::from_secs(3600),
-            drain_tick: Duration::from_secs(3600),
-        }));
+        // Readiness is read from shard state, never inferred from a
+        // wakeup: a stray notify_all while the bucket's round is open
+        // must leave the young bucket coalescing.
+        let q = Arc::new(Queue::new(cfg(64, 64, 2, Duration::from_secs(3600))));
+        let mut round = q.round();
         let (j1, _r1) = job("ab", "cd");
-        q.submit(j1).unwrap();
+        round.submit(j1).unwrap();
         let (tx, rx) = mpsc::channel();
         let dispatcher = {
             let q = Arc::clone(&q);
@@ -579,13 +717,42 @@ mod tests {
         );
         // A second same-shape job fills the bucket; now it flushes.
         let (j2, _r2) = job("xy", "zw");
-        q.submit(j2).unwrap();
+        round.submit(j2).unwrap();
         let batches = rx
             .recv_timeout(Duration::from_secs(30))
             .expect("full bucket flushes");
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].len(), 2, "bucket kept coalescing past the pokes");
+        drop(round);
         dispatcher.join().unwrap();
+    }
+
+    #[test]
+    fn a_round_holds_only_the_shards_it_admitted_into() {
+        // An open round of edit admissions must not hold a chain job
+        // admitted by another round.
+        let q = Queue::new(cfg(64, 64, 100, Duration::from_secs(3600)));
+        let mut edits = q.round();
+        let (j1, _r1) = job("ab", "cd");
+        edits.submit(j1).unwrap();
+        let (tx, _rx) = mpsc::channel();
+        q.submit(Job {
+            body: Body::Chain {
+                dims: vec![4, 2, 3],
+            },
+            cache_key: Vec::new(),
+            tx: ReplySink::Channel(tx),
+            enqueued: Instant::now(),
+            deadline: Instant::now() + Duration::from_secs(3600),
+            deadline_ms: 3_600_000,
+        })
+        .unwrap();
+        let chain = q.next_batches_for(Class::Chain).expect("chain shard");
+        assert_eq!(chain[0].len(), 1);
+        drop(edits);
+        let edit = q.next_batches_for(Class::Edit).expect("edit shard");
+        assert_eq!(edit[0].len(), 1);
+        assert_eq!(flushed(&q), [0, 0, 2, 0]);
     }
 
     #[test]
@@ -754,5 +921,24 @@ mod tests {
         );
         let (j2, _r2) = job("ab", "cd");
         assert_eq!(q.submit(j2).unwrap_err(), SdpError::ShuttingDown);
+        assert_eq!(flushed(&q), [0, 0, 0, 1], "counted as drain");
+    }
+
+    #[test]
+    fn drain_flushes_a_bucket_while_its_round_is_still_open() {
+        let q = Queue::new(cfg(64, 64, 100, Duration::from_secs(3600)));
+        let mut round = q.round();
+        let (j, _r) = job("ab", "cd");
+        round.submit(j).unwrap();
+        q.start_drain();
+        let batches = q
+            .next_batches_for(Class::Edit)
+            .expect("drain flushes under an open round");
+        assert_eq!(batches[0].len(), 1);
+        assert_eq!(flushed(&q), [0, 0, 0, 1], "counted as drain");
+        assert!(q.next_batches_for(Class::Edit).is_none());
+        let (j2, _r2) = job("ab", "cd");
+        assert_eq!(round.submit(j2).unwrap_err(), SdpError::ShuttingDown);
+        drop(round);
     }
 }

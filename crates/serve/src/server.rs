@@ -12,7 +12,9 @@
 //! instead of topping out on thread-per-connection context switches.
 //! Connection workers never run engines: they decode, probe the
 //! per-class result cache, submit to the sharded admission queue, and
-//! carry on servicing other sockets; the dispatcher routes the
+//! carry on servicing other sockets.  A worker's pass over its parsed
+//! lines is one admission [`Round`]: what it admits coalesces, and
+//! closing the round releases those buckets.  The dispatcher routes the
 //! completion back to the owning worker through its completion inbox
 //! and wake pipe.  One dispatcher thread per engine class pulls
 //! coalesced buckets off its queue shard and fans multi-bucket flushes
@@ -39,7 +41,7 @@ use crate::engine::{self};
 use crate::evloop::{poll_fds, wake_pipe, PollFd, WakeHandle, WakePipe, POLLIN, POLLOUT};
 use crate::metrics::{Metrics, PHASES};
 use crate::protocol::{self, Body, Class, Request, CLASSES};
-use crate::queue::{Completion, Job, JobResponse, Queue, QueueConfig, ReplySink, SpanTimes};
+use crate::queue::{Completion, Job, JobResponse, Queue, QueueConfig, ReplySink, Round, SpanTimes};
 use crate::{json, Config};
 use sdp_fault::{DispatchAction, ReplyAction, SdpError};
 use sdp_par::{lock_recover, StealPool};
@@ -220,7 +222,6 @@ pub fn serve(cfg: Config) -> std::io::Result<ServerHandle> {
         shed_queue: cfg.shed_queue,
         max_batch: cfg.max_batch,
         max_delay: cfg.max_delay,
-        drain_tick: cfg.drain_tick,
     };
     let metrics = Metrics::new(cfg.workers);
     let breaker_cfg = BreakerConfig {
@@ -240,7 +241,7 @@ pub fn serve(cfg: Config) -> std::io::Result<ServerHandle> {
         .collect();
     let event_workers = cfg.event_workers.max(1);
     let shared = Arc::new(Shared {
-        queue: Queue::new(queue_cfg),
+        queue: Queue::with_flush_counters(queue_cfg, metrics.queue_flush_counters()),
         caches,
         metrics,
         breakers,
@@ -409,9 +410,14 @@ fn dispatch_bucket(class: Class, jobs: Vec<Job>, flushed: Instant, shared: &Shar
         breaker.record_skip();
         return;
     }
-    let jobs = live;
-    let bodies: Vec<_> = jobs.iter().map(|j| j.body.clone()).collect();
-    let size = jobs.len();
+    // The engine borrows the bodies as one slice; the riders keep what
+    // the replies need.  Moving each body out spares a deep copy of
+    // every operand.
+    let (bodies, riders): (Vec<Body>, Vec<_>) = live
+        .into_iter()
+        .map(|job| (job.body, (job.cache_key, job.tx, job.enqueued)))
+        .unzip();
+    let size = riders.len();
     // Route by problem size: the crossover threshold sends large
     // buckets to the compiled direct solvers, small ones to the
     // cycle-accurate simulators.  Answers are bit-identical either way.
@@ -435,7 +441,8 @@ fn dispatch_bucket(class: Class, jobs: Vec<Job>, flushed: Instant, shared: &Shar
     }));
     breaker.record(outcome.is_ok());
     let results = outcome.unwrap_or_else(|_| {
-        jobs.iter()
+        riders
+            .iter()
             .map(|_| {
                 Err(SdpError::TaskPanicked {
                     task: 0,
@@ -449,24 +456,24 @@ fn dispatch_bucket(class: Class, jobs: Vec<Job>, flushed: Instant, shared: &Shar
     // rider (each admitted at its own time, all flushed together).
     let queue_us = started.saturating_duration_since(flushed).as_micros() as u64;
     let engine_us = engine_done.saturating_duration_since(started).as_micros() as u64;
-    for (job, result) in jobs.into_iter().zip(results) {
+    for ((cache_key, tx, enqueued), result) in riders.into_iter().zip(results) {
         let ok = result.is_ok();
         // One render per payload: the cache and the reply share it.
         let result = result.map(|payload| Arc::<str>::from(payload.render()));
         if let Ok(rendered) = &result {
             let cache = &shared.caches[class.index()];
-            if lock_recover(cache).insert(job.cache_key, Arc::clone(rendered)) {
+            if lock_recover(cache).insert(cache_key, Arc::clone(rendered)) {
                 shared.metrics.cache_evicted();
             }
         }
-        let coalesce_us = flushed.saturating_duration_since(job.enqueued).as_micros() as u64;
+        let coalesce_us = flushed.saturating_duration_since(enqueued).as_micros() as u64;
         shared
             .metrics
             .record_dispatch_phases(class, coalesce_us, queue_us, engine_us);
-        shared.metrics.completed(class, ok, job.enqueued.elapsed());
+        shared.metrics.completed(class, ok, enqueued.elapsed());
         // A vanished connection means the client hung up mid-request;
         // the generation check at delivery discards the work.
-        job.tx.send(JobResponse {
+        tx.send(JobResponse {
             result,
             batch: size,
             engine: Some(kind),
@@ -602,14 +609,19 @@ fn event_loop(shared: Arc<Shared>, route: WorkerRoute, pipe: WakePipe) {
                 }
             }
         }
-        // Service every connection: process parsed lines, then push
-        // whatever is writable.
+        // Service every connection as one admission round: what this
+        // pass admits coalesces, and closing the round releases it to
+        // the dispatchers before any reply bytes are written.
+        let mut round = shared.queue.round();
         for slot in 0..slots.len() {
             let gen = gens[slot];
             if let Some(conn) = slots[slot].as_mut() {
-                service_conn(conn, slot, gen, &shared, &route);
-                flush_conn(conn, shared.cfg.write_timeout);
+                service_conn(conn, slot, gen, &shared, &route, &mut round);
             }
+        }
+        drop(round);
+        for conn in slots.iter_mut().flatten() {
+            flush_conn(conn, shared.cfg.write_timeout);
         }
         // Close sweep: hard failures, drained EOFs/drops, write-stall
         // cutoffs, and idle reaps.
@@ -840,7 +852,14 @@ fn push_compute_reply(conn: &mut Conn, text: &str, shared: &Shared) {
 /// Processes parsed request lines until one goes in flight (at most
 /// one compute request per connection runs at a time; pipelined lines
 /// wait their turn in `pending`).
-fn service_conn(conn: &mut Conn, slot: usize, gen: u64, shared: &Shared, route: &WorkerRoute) {
+fn service_conn(
+    conn: &mut Conn,
+    slot: usize,
+    gen: u64,
+    shared: &Shared,
+    route: &WorkerRoute,
+    round: &mut Round<'_>,
+) {
     while conn.inflight.is_none() && !conn.close_after_flush && !conn.dead {
         let Some(next) = conn.pending.pop_front() else {
             return;
@@ -858,7 +877,7 @@ fn service_conn(conn: &mut Conn, slot: usize, gen: u64, shared: &Shared, route: 
                 if line.trim().is_empty() {
                     continue;
                 }
-                handle_line(conn, &line, slot, gen, shared, route);
+                handle_line(conn, &line, slot, gen, shared, route, round);
             }
         }
     }
@@ -866,7 +885,7 @@ fn service_conn(conn: &mut Conn, slot: usize, gen: u64, shared: &Shared, route: 
 
 /// Decodes one request line and routes it: control requests reply
 /// inline, compute requests either reply inline (cache hit, degraded,
-/// rejected) or go in flight through the admission queue.
+/// rejected) or go in flight through the admission round.
 fn handle_line(
     conn: &mut Conn,
     line: &str,
@@ -874,6 +893,7 @@ fn handle_line(
     gen: u64,
     shared: &Shared,
     route: &WorkerRoute,
+    round: &mut Round<'_>,
 ) {
     let doc = match json::parse(line) {
         Ok(doc) => doc,
@@ -909,6 +929,11 @@ fn handle_line(
         Request::Shutdown { id } => {
             let reply = protocol::ok_response(id, Json::object().with("draining", true), false, 0);
             push_control(conn, &reply);
+            // Put the reply on the wire before the drain starts: once
+            // the dispatchers exit, `ServerHandle::wait` returns, and a
+            // process that then exits takes this detached worker (and
+            // an unflushed reply) down with it.
+            flush_conn(conn, shared.cfg.write_timeout);
             shared.begin_shutdown();
         }
         Request::Compute {
@@ -917,7 +942,13 @@ fn handle_line(
             deadline_ms,
         } => {
             let class = body.class();
-            match handle_compute(id, body, deadline_ms, slot, gen, shared, route) {
+            let sink = || ReplySink::Event {
+                inbox: Arc::clone(&route.completions),
+                wake: route.wake.clone(),
+                slot,
+                gen,
+            };
+            match handle_compute(id, body, deadline_ms, shared, round, sink) {
                 Some(reply) => push_compute_reply(conn, &reply, shared),
                 None => conn.inflight = Some(Inflight { id, class }),
             }
@@ -1019,15 +1050,15 @@ fn fallback_payload(body: &Body) -> Option<Json> {
 
 /// The compute admission path.  Returns `Some(reply)` for an inline
 /// answer (cache hit, degraded fallback, typed rejection), `None` once
-/// the job is in flight and its reply will arrive as a [`Completion`].
+/// the job is admitted into `round`; its reply then arrives through the
+/// [`ReplySink`] that `sink` builds.
 fn handle_compute(
     id: i64,
     body: Body,
     deadline_ms: Option<u64>,
-    slot: usize,
-    gen: u64,
     shared: &Shared,
-    route: &WorkerRoute,
+    round: &mut Round<'_>,
+    sink: impl FnOnce() -> ReplySink,
 ) -> Option<String> {
     let class = body.class();
     let key = body.canonical_key();
@@ -1067,17 +1098,12 @@ fn handle_compute(
     let job = Job {
         body,
         cache_key: key,
-        tx: ReplySink::Event {
-            inbox: Arc::clone(&route.completions),
-            wake: route.wake.clone(),
-            slot,
-            gen,
-        },
+        tx: sink(),
         enqueued: now,
         deadline,
         deadline_ms,
     };
-    match shared.queue.submit(job) {
+    match round.submit(job) {
         Ok(()) => None,
         Err(e) => {
             match &e {

@@ -114,3 +114,32 @@ fn every_class_dispatches_direct_above_threshold() {
     }
     handle.shutdown();
 }
+
+#[test]
+fn a_lone_request_flushes_when_its_read_round_ends_not_when_it_ages() {
+    // A 10 s coalescing window: sequential requests would take 500 s
+    // if a lone rider waited out the window.  Each must instead flush
+    // as soon as the event-loop pass that read it ends.
+    sdp_par::watchdog("round-flush", Duration::from_secs(20), || {
+        let handle = sdp_serve::serve(Config {
+            max_delay: Duration::from_secs(10),
+            ..Config::default()
+        })
+        .expect("bind");
+        let mut c = Client::connect(handle.addr()).expect("connect");
+        for id in 0..50 {
+            let a = format!("lone{id}");
+            let resp = c
+                .call_raw(&client::edit_request(id, &a, "request"))
+                .expect("call");
+            assert!(resp.ok, "[{id}] {:?}", resp.error_message);
+            assert!(!resp.cached, "[{id}] requests are distinct");
+        }
+        let snap = c.metrics().expect("metrics").result.expect("payload");
+        let flushes = json::get(&snap, "flushes").expect("flush reasons");
+        let count = |reason: &str| json::get(flushes, reason).and_then(json::as_i64);
+        assert_eq!(count("round"), Some(50), "every flush ends a read round");
+        assert_eq!(count("aged"), Some(0), "no rider waited out the window");
+        handle.shutdown();
+    });
+}

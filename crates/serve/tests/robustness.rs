@@ -46,22 +46,50 @@ fn zero_deadline_expires_typed_while_generous_deadline_succeeds() {
 #[test]
 fn shed_requests_carry_retry_hints_and_the_retry_policy_recovers() {
     watchdog("load-shed", Duration::from_secs(30), || {
-        // shed_queue 1 with a long coalescing window: the first queued
-        // job keeps depth at 1 for ~1 s, so a second request sheds.
-        // drain_tick is pinned to the window so the adaptive flush does
-        // not release the lone job the moment the arrival stream
-        // pauses, and the window is generous because the sibling tests
-        // in this binary compete for the same cores.
+        // shed_queue 1, and a chaos stall holds the edit dispatcher
+        // in its first bucket for `window`: the pinner admitted behind
+        // it keeps depth at 1, so a second request sheds.  max_delay
+        // equals the window, which sizes a fresh server's retry hint.
+        // The window is generous because the sibling tests in this
+        // binary compete for the same cores.
         let window = Duration::from_millis(1000);
+        let plan = ChaosPlan::new().with(ChaosEvent::EngineStall {
+            dispatch: 0,
+            ms: window.as_millis() as u64,
+        });
         let handle = sdp_serve::serve(Config {
             shed_queue: 1,
             max_delay: window,
-            drain_tick: window,
             cache_capacity: 0,
+            chaos: Some(Arc::new(ServeChaos::new(&plan))),
             ..Config::default()
         })
         .expect("bind");
         let addr = handle.addr();
+
+        // The staller's bucket is the first dispatch: it stalls the
+        // edit dispatcher.  Wait until the stall has begun, so the
+        // pinner cannot ride the staller's batch.
+        let mut staller = Client::connect(addr).expect("connect");
+        staller
+            .send_raw(&client::edit_request(0, "stall", "engine"))
+            .expect("stall the dispatcher");
+        let mut shed = Client::connect(addr).expect("connect");
+        let stalled_by = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let doc = shed.metrics().expect("metrics").result.expect("payload");
+            let stalls = json::get(&doc, "chaos")
+                .and_then(|c| json::get(c, "engine_stall"))
+                .and_then(json::as_i64);
+            if stalls == Some(1) {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < stalled_by,
+                "the staller never reached the engine"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
 
         let mut pinner = Client::connect(addr).expect("connect");
         pinner
@@ -71,7 +99,6 @@ fn shed_requests_carry_retry_hints_and_the_retry_policy_recovers() {
         // The pinner and the probe arrive on different connections, so
         // different event-loop workers may enqueue them in either order.
         // Wait until the pinner holds the queue before probing.
-        let mut shed = Client::connect(addr).expect("connect");
         let pinned_by = std::time::Instant::now() + Duration::from_secs(5);
         loop {
             let doc = shed.metrics().expect("metrics").result.expect("payload");
@@ -107,6 +134,8 @@ fn shed_requests_carry_retry_hints_and_the_retry_policy_recovers() {
         // The pinned request was answered normally, exactly once.
         let resp = pinner.read_response().expect("pinned response");
         assert!(resp.ok && resp.id == 1);
+        let resp = staller.read_response().expect("stalled response");
+        assert!(resp.ok && resp.id == 0, "a stall delays, never fails");
 
         handle.shutdown();
     });
